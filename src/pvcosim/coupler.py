@@ -14,12 +14,11 @@ one-to-one across the boundary.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .feeder import FeederModel, FeederOps, FeederSolution, apply_scenario, solve_feeder
+from .feeder import FeederModel, FeederOps, FeederSolution, scenario_loads, solve_feeder
 from .network import TransmissionNetwork
 from .sequences import phases_from_sequences
 from .transmission import (
@@ -69,7 +68,7 @@ class CosimNonConvergenceError(CosimError):
 class Attachment:
     bus: int
     feeder: FeederModel
-    kv_ratio: float
+    ops: FeederOps = field(compare=False, repr=False)  # the feeder's sweep operator
     mva_base: float = 100.0
 
 
@@ -83,7 +82,7 @@ def attach(net: TransmissionNetwork, bus_id: int, feeder: FeederModel) -> Attach
     return Attachment(
         bus=bus_id,
         feeder=feeder,
-        kv_ratio=bus.base_kv / feeder.kv_base,
+        ops=FeederOps(feeder),
         mva_base=net.mva_base,
     )
 
@@ -124,7 +123,6 @@ class CoSimResult:
     feeder_solutions: tuple[FeederSolution, ...]
     boundary_history: tuple[BoundaryState, ...]
     fpi_iterations: int
-    converged: bool
 
     @property
     def final_boundary(self) -> BoundaryState:
@@ -165,21 +163,45 @@ def effective_network(net: TransmissionNetwork, attachments) -> TransmissionNetw
 _NOMINAL_V = phases_from_sequences(0.0, 1.0, 0.0)
 
 
+def _feeder_loads(attachments, scenario_per_feeder, hour: int, profile) -> list[np.ndarray]:
+    """Per-node loads of every attached feeder under its scenario (or none)."""
+    if scenario_per_feeder is None:
+        return [att.ops.loads for att in attachments]
+    if len(scenario_per_feeder) != len(attachments):
+        raise ValueError("one scenario entry (or None) required per attachment")
+    if profile is None and any(scen is not None for scen in scenario_per_feeder):
+        raise ValueError("a generation profile is required to apply scenarios")
+    return [
+        att.ops.loads if scen is None else scenario_loads(att.ops, scen, hour, profile)
+        for att, scen in zip(attachments, scenario_per_feeder)
+    ]
+
+
+def _pcc_loads(attachments, s_rows: np.ndarray) -> dict[int, np.ndarray]:
+    """Sum the per-attachment boundary powers onto their PCC buses."""
+    pcc: dict[int, np.ndarray] = {}
+    for att, s in zip(attachments, s_rows):
+        pcc[att.bus] = pcc.get(att.bus, np.zeros(3, dtype=complex)) + s
+    return pcc
+
+
 def _solve_feeders(
-    ops_list: list[FeederOps], v_rows: np.ndarray, opts: CoSimOptions
-) -> list[FeederSolution]:
-    def one(i: int) -> FeederSolution:
+    attachments, loads: list[np.ndarray], v_rows: np.ndarray, opts: CoSimOptions
+) -> tuple[list[FeederSolution], np.ndarray]:
+    """Solve each feeder at its PCC voltage; return the solutions and the
+    per-attachment PCC powers (system pu)."""
+    fsols = []
+    for att, s, v in zip(attachments, loads, v_rows):
         try:
-            return solve_feeder(
-                ops_list[i], v_rows[i], tol=opts.feeder_tol, max_iter=opts.feeder_max_iter
+            fsols.append(
+                solve_feeder(
+                    att.ops, v, tol=opts.feeder_tol, max_iter=opts.feeder_max_iter, loads=s
+                )
             )
         except Exception as exc:
             raise CosimError(str(exc), side="distribution") from exc
-
-    if len(ops_list) > 1:
-        with ThreadPoolExecutor(max_workers=len(ops_list)) as pool:
-            return list(pool.map(one, range(len(ops_list))))
-    return [one(i) for i in range(len(ops_list))]
+    s_rows = np.array([equivalent_load(fs, att) for fs, att in zip(fsols, attachments)])
+    return fsols, s_rows
 
 
 def run_step(
@@ -197,20 +219,7 @@ def run_step(
     opts = opts or CoSimOptions()
     solver_opts = solver_opts or SolverOptions()
     attachments = list(attachments)
-    if scenario_per_feeder is None:
-        scenario_per_feeder = [None] * len(attachments)
-    if len(scenario_per_feeder) != len(attachments):
-        raise ValueError("one scenario entry (or None) required per attachment")
-
-    feeders: list[FeederModel] = []
-    for att, scen in zip(attachments, scenario_per_feeder):
-        if scen is None:
-            feeders.append(att.feeder)
-        else:
-            if profile is None:
-                raise ValueError("a generation profile is required to apply scenarios")
-            feeders.append(apply_scenario(att.feeder, scen, hour, profile))
-    ops_list = [FeederOps(f) for f in feeders]
+    loads = _feeder_loads(attachments, scenario_per_feeder, hour, profile)
 
     net_eff = effective_network(net, attachments)
     seq_ops = seq_ops if seq_ops is not None else SequenceOps(net_eff)
@@ -219,27 +228,22 @@ def run_step(
     v_rows = np.tile(_NOMINAL_V, (n_att, 1))
 
     # Decoupled first solves: each feeder at nominal balanced voltage.
-    fsols = _solve_feeders(ops_list, v_rows, opts)
-    s_rows = np.array([equivalent_load(fs, att) for fs, att in zip(fsols, attachments)])
+    fsols, s_rows = _solve_feeders(attachments, loads, v_rows, opts)
     history = [BoundaryState(v_phase=v_rows.copy(), s_phase=s_rows.copy(), iteration=0)]
 
     seq_sol: SeqSolution | None = None
     converged = False
     err = np.inf
     for it in range(1, opts.max_fpi + 1):
-        pcc_loads: dict[int, np.ndarray] = {}
-        for att, s in zip(attachments, s_rows):
-            pcc_loads[att.bus] = pcc_loads.get(att.bus, np.zeros(3, dtype=complex)) + s
         try:
             seq_sol = solve_three_sequence(
-                net_eff, pcc_loads, solver_opts, ops=seq_ops, start=seq_sol
+                net_eff, _pcc_loads(attachments, s_rows), solver_opts, ops=seq_ops, start=seq_sol
             )
         except PowerFlowError as exc:
             raise CosimError(str(exc), side="transmission") from exc
 
         v_rows = np.array([source_voltage(seq_sol, att) for att in attachments])
-        fsols = _solve_feeders(ops_list, v_rows, opts)
-        s_new = np.array([equivalent_load(fs, att) for fs, att in zip(fsols, attachments)])
+        fsols, s_new = _solve_feeders(attachments, loads, v_rows, opts)
         lam = opts.under_relaxation
         s_rows = lam * s_new + (1.0 - lam) * s_rows
 
@@ -258,7 +262,6 @@ def run_step(
         feeder_solutions=tuple(fsols),
         boundary_history=tuple(history),
         fpi_iterations=len(history) - 1,
-        converged=True,
     )
 
 
@@ -283,21 +286,14 @@ def verify_fixed_point(
     attachments = list(attachments)
     final = result.final_boundary
 
-    net_eff = effective_network(net, attachments)
-    pcc_loads: dict[int, np.ndarray] = {}
-    for att, s in zip(attachments, final.s_phase):
-        pcc_loads[att.bus] = pcc_loads.get(att.bus, np.zeros(3, dtype=complex)) + s
-    seq_sol = solve_three_sequence(net_eff, pcc_loads, solver_opts, start=result.seq_solution)
-    v_rows = np.array([source_voltage(seq_sol, att) for att in attachments])
-
-    if scenario_per_feeder is None:
-        scenario_per_feeder = [None] * len(attachments)
-    s_rows = []
-    for i, (att, scen) in enumerate(zip(attachments, scenario_per_feeder)):
-        f = att.feeder if scen is None else apply_scenario(att.feeder, scen, hour, profile)
-        fs = solve_feeder(f, final.v_phase[i], tol=opts.feeder_tol)
-        s_rows.append(equivalent_load(fs, att))
-    state = BoundaryState(
-        v_phase=v_rows, s_phase=np.array(s_rows), iteration=final.iteration + 1
+    loads = _feeder_loads(attachments, scenario_per_feeder, hour, profile)
+    seq_sol = solve_three_sequence(
+        effective_network(net, attachments),
+        _pcc_loads(attachments, final.s_phase),
+        solver_opts,
+        start=result.seq_solution,
     )
+    v_rows = np.array([source_voltage(seq_sol, att) for att in attachments])
+    _, s_rows = _solve_feeders(attachments, loads, final.v_phase, opts)
+    state = BoundaryState(v_phase=v_rows, s_phase=s_rows, iteration=final.iteration + 1)
     return boundary_error(final, state)

@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import data_path
-from .coupler import CoSimOptions, attach, boundary_error, run_step
+from .coupler import CoSimOptions, attach, boundary_error, effective_network, run_step
 from .feeder import load_feeder_file
 from .network import load_network_file
 from .scenarios import PvScenario, generate, load_profile_file
 from .sequences import unbalance_percent
-from .transmission import SolverOptions
+from .transmission import SequenceOps, SolverOptions
 from .unified import compare, solve_unified
 
 __all__ = [
@@ -201,6 +201,7 @@ class _Runner:
         self.attachments = [
             attach(self.net, bus, f) for (_, bus), f in zip(cfg.feeders, self.feeders)
         ]
+        self.seq_ops = SequenceOps(effective_network(self.net, self.attachments))
         self.scenarios: list[dict[tuple[int, int], PvScenario]] = []
         for k, f in enumerate(self.feeders):
             seed = int(
@@ -252,6 +253,7 @@ class _Runner:
             cfg.coupler,
             profile=self.profile,
             solver_opts=cfg.solver,
+            seq_ops=self.seq_ops,
         )
         wall_ms = (time.perf_counter() - t0) * 1e3
 
@@ -363,7 +365,7 @@ def run(config: RunConfig) -> ResultSet:
             for part in pool.map(_run_chunk, [config] * len(chunks), chunks):
                 results.extend(part)
     else:
-        results = _run_chunk(config, cases) if cases else []
+        results = [_safe_case(runner, sid, level, hour) for sid, level, hour in cases]
 
     records = [r for r, _ in results]
     for _, tr in results:
@@ -515,6 +517,7 @@ def compare_sweep(config: RunConfig, scenario_id: int = 0, out_path=None) -> lis
             config.coupler,
             profile=runner.profile,
             solver_opts=config.solver,
+            seq_ops=runner.seq_ops,
         )
         us = solve_unified(runner.net, runner.attachments, hour, scen, profile=runner.profile)
         rep = compare(cs, us, runner.attachments)

@@ -1,4 +1,4 @@
-"""Unbalanced three-phase radial feeder model and forward-backward sweep.
+"""Unbalanced three-phase radial feeder model and matrix-form forward-backward sweep.
 
 Feeder files are JSON with ``nodes``, ``lines``, ``transformer``,
 ``kv_base`` and ``peak_kw``. Line impedance matrices are 3x3 nested
@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "FeederNode",
@@ -24,11 +25,13 @@ __all__ = [
     "FeederSolution",
     "FeederDataError",
     "FeederSolveError",
+    "FeederOps",
     "load_feeder",
     "load_feeder_file",
     "solve_feeder",
     "pcc_power",
     "apply_scenario",
+    "scenario_loads",
 ]
 
 PHASES = "abc"
@@ -121,7 +124,6 @@ class FeederSolution:
     pcc_power_kw: np.ndarray  # (3,) complex kW at the transmission side
     head_current: np.ndarray  # (3,) amps into the substation transformer
     iterations: int
-    converged: bool
     v_ln_base: float
 
     def v_pu(self) -> np.ndarray:
@@ -259,50 +261,20 @@ def validate_feeder(model: FeederModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scenario application
-# ---------------------------------------------------------------------------
-
-
-def apply_scenario(feeder: FeederModel, scenario, hour: int, profile) -> FeederModel:
-    """Fold a PV deployment into the feeder's constant-power loads.
-
-    Each placement injects ``rating * profile(hour)`` kW at unity power
-    factor, split equally across the unit's phases, as negative load.
-    The returned model carries the placements in ``pv_units`` for
-    traceability; their effect is already in the node loads.
-    """
-    factor = profile.value(hour)
-    by_node: dict[str, FeederNode] = {n.id: n for n in feeder.nodes}
-    units = []
-    for node_id, phases, rating_kw in scenario.placements:
-        if node_id not in by_node:
-            raise FeederDataError(f"scenario places PV at unknown node {node_id}")
-        units.append(
-            PvUnit(node=node_id, phases=phases, rating_kw=rating_kw, profile_id=profile.name)
-        )
-        inj = rating_kw * factor
-        if inj == 0:
-            continue
-        node = by_node[node_id]
-        share = inj / len(phases)
-        loads = dict(node.loads)
-        for ph in phases:
-            loads[ph] = loads.get(ph, 0j) - share
-        by_node[node_id] = replace(node, loads=loads)
-    return replace(
-        feeder,
-        nodes=tuple(by_node[n.id] for n in feeder.nodes),
-        pv_units=tuple(units),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Forward-backward sweep
+# Feeder operator and scenario loads
 # ---------------------------------------------------------------------------
 
 
 class FeederOps:
-    """Topological order and per-line matrices, reusable across solves."""
+    """Node indexing, base loads and the sweep matrices of one feeder.
+
+    Built once per feeder and reused by every solve. ``bibc`` is the
+    branch-to-node path incidence of Teng's direct load flow: row ``c``
+    is the branch feeding node ``c`` (the substation transformer for the
+    root) and ``bibc[c, j] = 1`` when node ``j`` lies in the subtree fed
+    through that branch. ``z`` stacks each branch's 3x3 impedance in ohms
+    in the same row order.
+    """
 
     def __init__(self, model: FeederModel):
         self.model = model
@@ -312,35 +284,84 @@ class FeederOps:
 
         n = len(self.ids)
         self.mask = np.zeros((n, 3), dtype=bool)
-        self.loads = np.zeros((n, 3), dtype=complex)  # VA
+        self.loads = np.zeros((n, 3), dtype=complex)  # kW + j kvar
         for i, node in enumerate(model.nodes):
             for ph in node.phases:
                 self.mask[i, PHASES.index(ph)] = True
-            self.loads[i] = node.load_vector() * 1e3
+            self.loads[i] = node.load_vector()
 
-        self.children: list[list[int]] = [[] for _ in range(n)]
-        self.parent = np.full(n, -1, dtype=int)
-        self.z_line: list[np.ndarray | None] = [None] * n  # keyed by child index
-        self.line_of_child: dict[int, FeederLine] = {}
+        parent = np.full(n, -1, dtype=int)
+        self.z = np.zeros((n, 3, 3), dtype=complex)
+        self.z[self.root] = model.transformer.z_pu * model.z_base * np.eye(3)
         for ln in model.lines:
-            f, t = self.index[ln.from_node], self.index[ln.to_node]
-            self.children[f].append(t)
-            self.parent[t] = f
-            self.z_line[t] = ln.z_matrix()
-            self.line_of_child[t] = ln
+            t = self.index[ln.to_node]
+            parent[t] = self.index[ln.from_node]
+            self.z[t] = ln.z_matrix()
 
-        # Depth-first order from the root; reversed it walks leaves-first.
-        order = []
-        stack = [self.root]
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            stack.extend(self.children[i])
-        self.topo = np.array(order, dtype=int)
-
-        zb = model.z_base
-        self.z_trafo = model.transformer.z_pu * zb * np.eye(3, dtype=complex)
+        # Every node lies below each branch on its path from the root.
+        rows, cols = [], []
+        for j in range(n):
+            c = j
+            while c >= 0:
+                rows.append(c)
+                cols.append(j)
+                c = parent[c]
+        ones = np.ones(len(rows), dtype=complex)
+        self.bibc = sp.coo_matrix((ones, (rows, cols)), shape=(n, n)).tocsr()
+        self.bibc_t = self.bibc.T.tocsr()
         self.v_ln = model.v_ln_base
+
+
+def scenario_loads(ops: FeederOps, scenario, hour: int, profile) -> np.ndarray:
+    """Per-node loads (kW + j kvar) of the feeder with a PV deployment folded in.
+
+    Each placement injects ``rating * profile(hour)`` kW at unity power
+    factor, split equally across the unit's phases, as negative load.
+    """
+    factor = profile.value(hour)
+    loads = ops.loads.copy()
+    for node_id, phases, rating_kw in scenario.placements:
+        i = ops.index.get(node_id)
+        if i is None:
+            raise FeederDataError(f"scenario places PV at unknown node {node_id}")
+        inj = rating_kw * factor
+        if inj == 0:
+            continue
+        share = inj / len(phases)
+        for ph in phases:
+            loads[i, PHASES.index(ph)] -= share
+    return loads
+
+
+def apply_scenario(feeder: FeederModel, scenario, hour: int, profile) -> FeederModel:
+    """The feeder with a PV deployment folded into its node loads.
+
+    The returned model carries the placements in ``pv_units`` for
+    traceability; their effect is already in the node loads (see
+    ``scenario_loads``).
+    """
+    loads = scenario_loads(FeederOps(feeder), scenario, hour, profile)
+    nodes = tuple(
+        replace(
+            node,
+            loads={
+                ph: complex(loads[i, k])
+                for k, ph in enumerate(PHASES)
+                if ph in node.loads or loads[i, k] != 0
+            },
+        )
+        for i, node in enumerate(feeder.nodes)
+    )
+    units = tuple(
+        PvUnit(node=node_id, phases=phases, rating_kw=rating_kw, profile_id=profile.name)
+        for node_id, phases, rating_kw in scenario.placements
+    )
+    return replace(feeder, nodes=nodes, pv_units=units)
+
+
+# ---------------------------------------------------------------------------
+# Forward-backward sweep
+# ---------------------------------------------------------------------------
 
 
 def solve_feeder(
@@ -348,49 +369,41 @@ def solve_feeder(
     source_v: np.ndarray,
     tol: float = 1e-7,
     max_iter: int = 60,
+    *,
+    loads: np.ndarray | None = None,
 ) -> FeederSolution:
     """Forward-backward sweep at a fixed per-phase source voltage.
 
     ``source_v`` is the PCC voltage in per-unit of the feeder
-    line-to-neutral base (three complex phasors).
+    line-to-neutral base (three complex phasors). ``loads`` replaces the
+    feeder's own node loads (kW + j kvar, shape of ``FeederOps.loads``),
+    e.g. with ``scenario_loads``.
+
+    Each iteration is the matrix form of J.-H. Teng, "A direct approach
+    for distribution system load flow solutions", IEEE Trans. Power
+    Delivery 18(3), 2003: node currents at the present voltages, branch
+    currents ``BIBC @ I``, node voltages ``src - BIBC^T @ (Z I_branch)``.
     """
     ops = feeder if isinstance(feeder, FeederOps) else FeederOps(feeder)
-    model = ops.model
     src = np.asarray(source_v, dtype=complex) * ops.v_ln
     if src.shape != (3,):
         raise ValueError("source_v must be three phasors")
     if np.any(np.abs(src) == 0):
         raise ValueError("source voltage must be nonzero on all phases")
 
-    n = len(ops.ids)
-    v = np.tile(src, (n, 1))
-    i_line = np.zeros((n, 3), dtype=complex)  # current into node i through its feeding line
-    head = np.zeros(3, dtype=complex)
+    s = (ops.loads if loads is None else loads) * 1e3  # VA
+    nz = ops.mask & (np.abs(s) > 0)
+    s_nz = s[nz]
+    v = np.tile(src, (len(ops.ids), 1))
+    inode = np.zeros_like(v)
 
     it = 0
     change = np.inf
     while it < max_iter:
         it += 1
-        # Backward: accumulate load currents up the tree.
-        i_line[:] = 0
-        for i in ops.topo[::-1]:
-            s = ops.loads[i]
-            m = ops.mask[i]
-            inode = np.zeros(3, dtype=complex)
-            nz = m & (np.abs(s) > 0)
-            inode[nz] = np.conj(s[nz] / v[i, nz])
-            i_line[i] += inode
-            p = ops.parent[i]
-            if p >= 0:
-                i_line[p] += i_line[i]
-        head = i_line[ops.root].copy()
-
-        # Forward: push voltages down from the source.
-        v_new = v.copy()
-        v_new[ops.root] = src - ops.z_trafo @ head
-        for i in ops.topo:
-            for c in ops.children[i]:
-                v_new[c] = v_new[i] - ops.z_line[c] @ i_line[c]
+        inode[nz] = np.conj(s_nz / v[nz])
+        i_line = ops.bibc @ inode  # current into each node through its feeding branch
+        v_new = src - ops.bibc_t @ np.einsum("nij,nj->ni", ops.z, i_line)
 
         change = float(np.max(np.abs((v_new - v)[ops.mask]) / ops.v_ln))
         v = v_new
@@ -409,10 +422,11 @@ def solve_feeder(
             last_change=change,
         )
 
+    head = i_line[ops.root].copy()
     s_pcc = src * np.conj(head) / 1e3  # complex kW per phase, transmission side
     line_currents = {
         (ln.from_node, ln.to_node): i_line[ops.index[ln.to_node]].copy()
-        for ln in model.lines
+        for ln in ops.model.lines
     }
     return FeederSolution(
         node_ids=ops.ids,
@@ -422,13 +436,10 @@ def solve_feeder(
         pcc_power_kw=s_pcc,
         head_current=head,
         iterations=it,
-        converged=True,
         v_ln_base=ops.v_ln,
     )
 
 
 def pcc_power(sol: FeederSolution) -> np.ndarray:
     """Per-phase complex power (kW/kvar) drawn at the PCC."""
-    if not sol.converged:
-        raise FeederSolveError("solution did not converge")
     return sol.pcc_power_kw.copy()

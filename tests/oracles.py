@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the
 package: Gauss-Seidel for the positive-sequence power flow, dense
-phase-frame fixed-point nodal solves, closed-form two-bus voltage, and
-element-by-element admittance assembly.
+phase-frame fixed-point nodal solves, closed-form two-bus voltage,
+element-by-element admittance assembly, and the feeder sweep as a
+node-by-node tree walk.
 """
 
 from __future__ import annotations
@@ -205,3 +206,70 @@ def feeder_nodal_solve(model, source_v_pu, tol=1e-12, max_iter=200000):
         if delta < tol:
             return {key: v[sl] for key, sl in slots.items()}
     raise RuntimeError("nodal fixed point did not converge")
+
+
+def tree_walk_sweep(model, source_v_pu, tol=1e-7, max_iter=60):
+    """Forward-backward sweep as an explicit node-by-node tree walk.
+
+    The backward pass accumulates load currents from the leaves up to
+    the substation; the forward pass pushes voltage drops from the
+    source down, through the substation transformer and every line.
+    Same convergence test as the package's sweep (largest per-unit
+    voltage change on present phases). Returns node voltages (n, 3) in
+    volts, line currents keyed by (from, to), the head current and the
+    iteration count.
+    """
+    phases = "abc"
+    ids = [node.id for node in model.nodes]
+    pos = {nid: i for i, nid in enumerate(ids)}
+    n = len(ids)
+    mask = np.zeros((n, 3), dtype=bool)
+    loads = np.zeros((n, 3), dtype=complex)  # VA
+    for i, node in enumerate(model.nodes):
+        for ph in node.phases:
+            mask[i, phases.index(ph)] = True
+        for ph, s_kw in node.loads.items():
+            loads[i, phases.index(ph)] = s_kw * 1e3
+
+    parent = [-1] * n
+    children = [[] for _ in range(n)]
+    z = {}
+    for ln in model.lines:
+        f, t = pos[ln.from_node], pos[ln.to_node]
+        parent[t] = f
+        children[f].append(t)
+        z[t] = np.array(ln.z_abc, dtype=complex).reshape(3, 3)
+    root = parent.index(-1)
+    order = []
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack.extend(children[i])
+
+    v_ln = model.kv_base * 1e3 / np.sqrt(3)
+    z_tr = model.transformer.z_pu * (model.kv_base**2 / model.mva_base) * np.eye(3)
+    src = np.asarray(source_v_pu, dtype=complex) * v_ln
+    v = np.tile(src, (n, 1))
+    i_line = np.zeros((n, 3), dtype=complex)
+    for it in range(1, max_iter + 1):
+        i_line[:] = 0
+        for i in reversed(order):
+            for k in range(3):
+                if mask[i, k] and loads[i, k] != 0:
+                    i_line[i, k] += np.conj(loads[i, k] / v[i, k])
+            if parent[i] >= 0:
+                i_line[parent[i]] += i_line[i]
+        v_new = v.copy()
+        v_new[root] = src - z_tr @ i_line[root]
+        for i in order:
+            for c in children[i]:
+                v_new[c] = v_new[i] - z[c] @ i_line[c]
+        change = np.max(np.abs((v_new - v)[mask])) / v_ln
+        v = v_new
+        if change <= tol:
+            currents = {
+                (ln.from_node, ln.to_node): i_line[pos[ln.to_node]].copy() for ln in model.lines
+            }
+            return v, currents, i_line[root].copy(), it
+    raise RuntimeError("tree-walk sweep did not converge")

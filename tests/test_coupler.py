@@ -8,18 +8,24 @@ from pvcosim import (
     attach,
     boundary_error,
     equivalent_load,
+    generate,
     load_feeder,
     run_step,
     solve_three_sequence,
     source_voltage,
     verify_fixed_point,
 )
-from pvcosim.coupler import BoundaryState, CoSimOptions, CosimNonConvergenceError
+from pvcosim.coupler import (
+    BoundaryState,
+    CoSimOptions,
+    CosimNonConvergenceError,
+    effective_network,
+)
 from pvcosim.scenarios import PvScenario
 from pvcosim.sequences import A_ANA, phases_from_sequences
-from pvcosim.transmission import SolverOptions
+from pvcosim.transmission import SequenceOps, SolverOptions
 
-from .conftest import constant_load_feeder
+from .conftest import constant_load_feeder, small_feeder
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +116,34 @@ def test_iteration_accounting(base_result):
 def test_fixed_point_certificate(ieee9, attachments, base_result):
     shift = verify_fixed_point(ieee9, attachments, base_result)
     assert shift <= CoSimOptions().tol_boundary
+
+
+def test_fixed_point_certificate_uses_feeder_max_iter(ieee9):
+    # A heavy balanced load pulls the PCC down, which leaves the small
+    # single-phase feeder close to its voltage-collapse point: its sweep
+    # needs more than the default 60 iterations there.
+    heavy = load_feeder(constant_load_feeder(150e3, 60e3))
+    slow = load_feeder(small_feeder(load_kw=2235.0, load_kvar=894.0, z_ohm=(20.0, 40.0)))
+    atts = [attach(ieee9, 5, heavy), attach(ieee9, 5, slow)]
+    opts = CoSimOptions(feeder_max_iter=400)
+    res = run_step(ieee9, atts, 12, None, opts)
+    assert res.feeder_solutions[1].iterations > CoSimOptions().feeder_max_iter
+    assert verify_fixed_point(ieee9, atts, res, opts) <= opts.tol_boundary
+
+
+def test_prebuilt_sequence_ops_is_bit_identical(ieee9, attachments, desk13, profile):
+    ops = SequenceOps(effective_network(ieee9, attachments))
+    for level in (40, 100):
+        s = generate(desk13, [level], 1, master_seed=3)[0]
+        scen = [s, s, s]
+        own = run_step(ieee9, attachments, 12, scen, profile=profile)
+        shared = run_step(ieee9, attachments, 12, scen, profile=profile, seq_ops=ops)
+        assert own.fpi_iterations == shared.fpi_iterations
+        assert len(own.boundary_history) == len(shared.boundary_history)
+        for a, b in zip(own.boundary_history, shared.boundary_history):
+            assert a.iteration == b.iteration
+            assert a.v_phase.tobytes() == b.v_phase.tobytes()
+            assert a.s_phase.tobytes() == b.s_phase.tobytes()
 
 
 def test_boundary_conservation(ieee9, attachments, base_result):
@@ -265,8 +299,6 @@ def test_source_voltage_reconstruction_spread():
 
 
 def test_pcc_band_under_sweeps(ieee9, attachments, desk13, profile):
-    from pvcosim import generate
-
     mags = []
     for level in (0, 50, 100):
         scen = None

@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from pvcosim import apply_scenario, load_feeder, pcc_power, solve_feeder
-from pvcosim.feeder import FeederDataError, FeederSolveError
+from pvcosim import apply_scenario, generate, load_feeder, pcc_power, solve_feeder
+from pvcosim.feeder import FeederDataError, FeederOps, FeederSolveError, scenario_loads
 from pvcosim.scenarios import GenerationProfile, PvScenario
 from pvcosim.sequences import phases_from_sequences
 
 from .conftest import constant_load_feeder, small_feeder
-from .oracles import feeder_nodal_solve, two_bus_constant_power
+from .oracles import feeder_nodal_solve, tree_walk_sweep, two_bus_constant_power
 
 BAL = phases_from_sequences(0.0, 1.0, 0.0)
 
@@ -123,6 +123,36 @@ def test_bundled_feeder_matches_nodal_oracle(desk13):
             k = "abc".index(ph)
             worst = max(worst, abs(sol.v[i, k] - ref[(nid, ph)]) / desk13.v_ln_base)
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize(
+    "level, source_v",
+    [
+        (None, BAL),
+        (30, BAL),
+        (100, BAL),
+        (None, phases_from_sequences(0.01 + 0.005j, 1.02, 0.02 - 0.01j)),
+    ],
+    ids=["no_pv", "pv_30", "pv_100", "unbalanced_source"],
+)
+def test_sweep_matches_tree_walk_reference(desk13, profile, level, source_v):
+    ops = FeederOps(desk13)
+    model, loads = desk13, None
+    if level is not None:
+        scen = generate(desk13, [level], 1, master_seed=5)[0]
+        model = apply_scenario(desk13, scen, 12, profile)
+        loads = scenario_loads(ops, scen, 12, profile)
+    sol = solve_feeder(ops, source_v, loads=loads)
+    v_ref, currents_ref, head_ref, iterations_ref = tree_walk_sweep(model, source_v)
+
+    assert sol.iterations == iterations_ref
+    v_base = desk13.v_ln_base
+    i_base = desk13.mva_base * 1e6 / 3 / v_base
+    assert np.max(np.abs(sol.v - v_ref)) / v_base < 1e-12
+    assert sol.line_currents.keys() == currents_ref.keys()
+    for key, i_ref in currents_ref.items():
+        assert np.max(np.abs(sol.line_currents[key] - i_ref)) / i_base < 1e-12
+    assert np.max(np.abs(sol.head_current - head_ref)) / i_base < 1e-12
 
 
 def test_pcc_power_zero_load():
@@ -266,3 +296,27 @@ def test_non_convergence_reports_change(desk13):
     with pytest.raises(FeederSolveError) as err:
         solve_feeder(desk13, BAL, max_iter=1, tol=1e-12)
     assert err.value.last_change is not None
+
+
+@pytest.mark.parametrize(
+    "hour, placements",
+    [
+        (2, (("671", "abc", 1000.0),)),  # night: the profile factor is 0
+        (12, (("671", "abc", 1000.0), ("634", "abc", 350.0), ("692", "ab", 120.0))),
+        (12, (("684", "c", 250.0),)),  # single phase
+        (10, (("671", "abc", 1000.0), ("671", "a", 400.0))),  # two units on one node
+    ],
+    ids=["night", "noon", "single_phase", "two_on_one_node"],
+)
+def test_scenario_loads_match_applied_model(desk13, profile, hour, placements):
+    scen = PvScenario(0, 10, placements=placements, seed=1)
+    loads = scenario_loads(FeederOps(desk13), scen, hour, profile)
+    expected = FeederOps(apply_scenario(desk13, scen, hour, profile)).loads
+    assert loads.dtype == expected.dtype and loads.shape == expected.shape
+    assert loads.tobytes() == expected.tobytes()
+
+
+def test_scenario_loads_unknown_node(desk13, profile):
+    scen = PvScenario(0, 10, placements=(("nowhere", "a", 100.0),), seed=1)
+    with pytest.raises(FeederDataError, match="unknown node"):
+        scenario_loads(FeederOps(desk13), scen, 12, profile)
