@@ -7,7 +7,13 @@ negative-sequence voltage responds.
 
 import numpy as np
 
-from pvcosim import data_path, load_network_file, solve_positive_nr, solve_three_sequence
+from pvcosim import (
+    branch_flows,
+    data_path,
+    load_network_file,
+    solve_positive_nr,
+    solve_three_sequence,
+)
 
 net = load_network_file(data_path("ieee9.json"))
 print(f"network: {len(net.buses)} buses, {len(net.branches)} branches, "
@@ -44,6 +50,6 @@ for i, b in enumerate(net.buses):
     print(f"{b.id:>4} {abs(unb.v1[i]):>8.4f} {abs(unb.v2[i]):>10.2e} {vuf:>8.3f}")
 
 print("\nper-sequence active flow on branch 4-5 (from end):")
-flows = unb.flows[(4, 5)]
+flows = branch_flows(unb, net)[(4, 5)]
 for name, row in zip(("zero", "positive", "negative"), flows):
     print(f"  {name:>8}: {row[0].real:+.5f} pu")

@@ -61,7 +61,6 @@ from .scenarios import (  # noqa: E402
     generate,
     load_profile,
     load_profile_file,
-    profile_value,
     pv_rating,
 )
 from .sequences import (  # noqa: E402

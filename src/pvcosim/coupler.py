@@ -106,7 +106,6 @@ class CoSimOptions:
     tol_boundary: float = 1e-4
     max_fpi: int = 20
     under_relaxation: float = 1.0
-    voltage_only_error: bool = False
     feeder_tol: float = 1e-7
     feeder_max_iter: int = 60
 
@@ -129,13 +128,11 @@ class CoSimResult:
         return self.boundary_history[-1]
 
 
-def boundary_error(prev: BoundaryState, curr: BoundaryState, voltage_only: bool = False) -> float:
+def boundary_error(prev: BoundaryState, curr: BoundaryState) -> float:
     """Infinity norm of the change in all boundary variables."""
     if prev.v_phase.shape != curr.v_phase.shape:
         raise ValueError("boundary states cover different attachment sets")
     dv = float(np.max(np.abs(curr.v_phase - prev.v_phase)))
-    if voltage_only:
-        return dv
     ds = float(np.max(np.abs(curr.s_phase - prev.s_phase)))
     return max(dv, ds)
 
@@ -248,7 +245,7 @@ def run_step(
         s_rows = lam * s_new + (1.0 - lam) * s_rows
 
         state = BoundaryState(v_phase=v_rows.copy(), s_phase=s_rows.copy(), iteration=it)
-        err = boundary_error(history[-1], state, voltage_only=opts.voltage_only_error)
+        err = boundary_error(history[-1], state)
         history.append(state)
         if err <= opts.tol_boundary:
             converged = True

@@ -24,7 +24,7 @@ from .feeder import load_feeder_file
 from .network import load_network_file
 from .scenarios import PvScenario, generate, load_profile_file
 from .sequences import unbalance_percent
-from .transmission import SequenceOps, SolverOptions
+from .transmission import SequenceOps, SolverOptions, branch_flows
 from .unified import compare, solve_unified
 
 __all__ = [
@@ -262,7 +262,7 @@ class _Runner:
         vuf = tuple(unbalance_factor(final.v_phase[i]) for i in range(len(buses)))
         signs = {
             key: (1 if flows[:, 0].real.sum() >= 0 else -1)
-            for key, flows in sol.flows.items()
+            for key, flows in branch_flows(sol, self.net, ops=self.seq_ops).items()
         }
         record = RunRecord(
             scenario_id=sid,

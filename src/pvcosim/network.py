@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Bus",
@@ -64,6 +65,30 @@ class Branch:
             r, c = int(key[1]), int(key[2])
             z[r, c] = val
         return z
+
+    def admittance_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sequence-domain two-port ``(yff, yft, ytt)``, 3x3 each; ``ytf == yft``.
+
+        Pi model with the off-nominal tap on the from side. A
+        ``zero_seq_open`` branch carries no zero-sequence current between
+        its terminals, only the grounding leg ``1/z0`` on its to side
+        (delta/wye-grounded convention with the delta winding on the
+        from side).
+        """
+        if self.coupling:
+            yser = np.linalg.inv(self.series_impedance_matrix())
+        else:
+            yser = np.diag([1.0 / self.z0, 1.0 / self.z1, 1.0 / self.z2]).astype(complex)
+        bsh = 0.5j * np.diag([self.b0, self.b1, self.b1])
+        yff = (yser + bsh) / self.tap**2
+        yft = -yser / self.tap
+        ytt = yser + bsh
+        if self.zero_seq_open:
+            for blk in (yff, yft, ytt):
+                blk[0, :] = 0
+                blk[:, 0] = 0
+            ytt[0, 0] = 1.0 / self.z0
+        return yff, yft, ytt
 
 
 @dataclass(frozen=True)
@@ -192,8 +217,9 @@ def validate_network(net: TransmissionNetwork) -> None:
             raise NetworkDataError(f"branch {br.from_bus}-{br.to_bus}: unknown bus")
         if br.from_bus == br.to_bus:
             raise NetworkDataError(f"branch at bus {br.from_bus}: from == to")
-        if abs(br.z1) == 0:
-            raise NetworkDataError(f"branch {br.from_bus}-{br.to_bus}: |z1| must be > 0")
+        for name in ("z1", "z2", "z0"):
+            if abs(getattr(br, name)) == 0:
+                raise NetworkDataError(f"branch {br.from_bus}-{br.to_bus}: |{name}| must be > 0")
         if br.tap <= 0:
             raise NetworkDataError(f"branch {br.from_bus}-{br.to_bus}: tap must be > 0")
         if br.coupling:
@@ -216,61 +242,43 @@ def validate_network(net: TransmissionNetwork) -> None:
         if bus.kind == "pq":
             raise NetworkDataError(f"generator at pq bus {g[0]}")
 
-    # Connectivity over positive-sequence branches.
-    adj: dict[int, set[int]] = {i: set() for i in ids}
-    for br in net.branches:
-        adj[br.from_bus].add(br.to_bus)
-        adj[br.to_bus].add(br.from_bus)
-    seen = {net.buses[0].id}
-    stack = [net.buses[0].id]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if seen != idset:
-        raise NetworkDataError(f"network not connected; unreachable buses {sorted(idset - seen)}")
+    # Connectivity over the branch graph.
+    idx = net.bus_index()
+    ends = np.array(
+        [(idx[br.from_bus], idx[br.to_bus]) for br in net.branches], dtype=int
+    ).reshape(-1, 2)
+    graph = sp.coo_matrix((np.ones(len(ends)), ends.T), shape=(len(ids), len(ids)))
+    _, labels = connected_components(graph, directed=False)
+    unreachable = sorted(b.id for b, lab in zip(net.buses, labels) if lab != labels[0])
+    if unreachable:
+        raise NetworkDataError(f"network not connected; unreachable buses {unreachable}")
 
 
-def build_sequence_admittance(net: TransmissionNetwork, seq: int) -> sp.csc_matrix:
-    """Nodal admittance matrix for one sequence network (0, 1 or 2).
+def build_sequence_admittance(
+    net: TransmissionNetwork,
+) -> tuple[sp.csc_matrix, sp.csc_matrix, sp.csc_matrix]:
+    """Nodal admittance matrices ``(y0, y1, y2)`` of the sequence networks.
 
-    Uses the diagonal of each branch's sequence impedance matrix;
-    inter-sequence coupling is handled separately as compensation
-    currents. A ``zero_seq_open`` branch contributes no coupling between
-    its terminals in the zero-sequence network, only the grounding leg
-    ``1/z0`` on its to-side diagonal (delta/wye-grounded convention with
-    the delta winding on the from side).
+    Each sequence takes the diagonal of every branch's
+    :meth:`Branch.admittance_blocks`; inter-sequence coupling is handled
+    separately as compensation currents.
     """
-    if seq not in (0, 1, 2):
-        raise ValueError(f"sequence must be 0, 1 or 2, got {seq}")
     idx = net.bus_index()
     n = len(net.buses)
-    y = sp.lil_matrix((n, n), dtype=complex)
-
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[np.ndarray] = []  # one (3,) entry per stamp, a value per sequence
     for br in net.branches:
         f, t = idx[br.from_bus], idx[br.to_bus]
-        z = {0: br.z0, 1: br.z1, 2: br.z2}[seq]
-        bsh = br.b0 if seq == 0 else br.b1
-        if seq == 0 and br.zero_seq_open:
-            if abs(z) > 0:
-                y[t, t] += 1.0 / z
-            continue
-        if br.coupling:
-            # Decoupled equivalent of a coupled branch: diagonal of the
-            # full series admittance; the off-diagonals are restored by
-            # compensation currents.
-            ys = np.linalg.inv(br.series_impedance_matrix())[seq, seq]
-        else:
-            ys = 1.0 / z
-        tap = br.tap
-        y[f, f] += (ys + 1j * bsh / 2.0) / tap**2
-        y[t, t] += ys + 1j * bsh / 2.0
-        y[f, t] += -ys / tap
-        y[t, f] += -ys / tap
-
-    for b in net.buses:
-        i = idx[b.id]
-        y[i, i] += complex(b.shunt_g, b.shunt_b)
-
-    return y.tocsc()
+        yff, yft, ytt = br.admittance_blocks()
+        rows += [f, t, f, t]
+        cols += [f, t, t, f]
+        vals += [np.diag(yff), np.diag(ytt), np.diag(yft), np.diag(yft)]
+    rows += range(n)
+    cols += range(n)
+    vals += [np.full(3, complex(b.shunt_g, b.shunt_b)) for b in net.buses]
+    data = np.array(vals, dtype=complex).reshape(-1, 3)
+    ys = tuple(sp.csc_matrix((data[:, s], (rows, cols)), shape=(n, n)) for s in range(3))
+    for y in ys:
+        y.eliminate_zeros()
+    return ys

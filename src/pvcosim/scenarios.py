@@ -22,7 +22,6 @@ __all__ = [
     "PvScenario",
     "pv_rating",
     "generate",
-    "profile_value",
     "load_profile",
     "load_profile_file",
     "save_scenarios",
@@ -143,10 +142,6 @@ def generate(
                 )
             )
     return out
-
-
-def profile_value(profile: GenerationProfile, hour: int) -> float:
-    return profile.value(hour)
 
 
 def load_profile(text: str) -> GenerationProfile:

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .network import Branch, TransmissionNetwork, build_sequence_admittance
 from .sequences import A_ANA, A_SYN, SequenceSet, phase_currents
@@ -83,7 +84,6 @@ class SolverOptions:
     tol_seq: float = 1e-6
     max_outer: int = 30
     max_nr: int = 20
-    flat_start: bool = True
 
     def __post_init__(self):
         if self.tol_nr <= 0 or self.tol_seq <= 0:
@@ -99,20 +99,14 @@ class SeqSolution:
     v1: np.ndarray
     v2: np.ndarray
     slack_power_pu: complex
-    flows: dict[tuple[int, int], np.ndarray]  # (from, to) -> (3, 2) seq x (from-end, to-end)
     iterations_outer: int
     iterations_nr: int
     max_mismatch: float
-    nr_history: tuple[float, ...] = ()
     comp_injections: np.ndarray | None = None  # (n, 3) sequence current injections
     loads_phase: np.ndarray | None = None  # (n, 3) per-phase powers actually served
 
     def index_of(self, bus_id: int) -> int:
         return self.bus_ids.index(bus_id)
-
-    def sequence_set(self, bus_id: int) -> SequenceSet:
-        i = self.index_of(bus_id)
-        return SequenceSet(zero=self.v0[i], positive=self.v1[i], negative=self.v2[i])
 
     def phase_voltages(self, bus_id: int) -> np.ndarray:
         i = self.index_of(bus_id)
@@ -133,9 +127,7 @@ class SequenceOps:
         self.n = len(net.buses)
         self.bus_ids = tuple(b.id for b in net.buses)
 
-        self.y1 = build_sequence_admittance(net, 1)
-        self.y2 = build_sequence_admittance(net, 2)
-        self.y0 = build_sequence_admittance(net, 0)
+        self.y0, self.y1, self.y2 = build_sequence_admittance(net)
         self.y1_dense = self.y1.toarray()
 
         kinds = [b.kind for b in net.buses]
@@ -163,13 +155,19 @@ class SequenceOps:
         self.lin2 = _LinearSequenceSolver(self.y2, self.slack)
         self.lin0 = _LinearSequenceSolver(self.y0, self.slack)
 
-        # Branches with inter-sequence coupling keep their full 3x3 series
-        # admittance for compensation and exact flow computation.
-        self.coupled: list[tuple[int, int, Branch, np.ndarray]] = []
-        for br in net.branches:
-            if br.coupling:
-                yfull = np.linalg.inv(br.series_impedance_matrix())
-                self.coupled.append((self.idx[br.from_bus], self.idx[br.to_bus], br, yfull))
+        # Each branch's two-port, for flows; branches with inter-sequence
+        # coupling also keep the off-diagonal series admittance that the
+        # sequence matrices leave to compensation currents.
+        self.blocks: list[tuple[int, int, Branch, tuple[np.ndarray, ...]]] = [
+            (self.idx[br.from_bus], self.idx[br.to_bus], br, br.admittance_blocks())
+            for br in net.branches
+        ]
+        self.coupled: list[tuple[int, int, np.ndarray]] = []
+        for f, t, _br, (_yff, yft, _ytt) in self.blocks:
+            yoff = -yft
+            np.fill_diagonal(yoff, 0)
+            if yoff.any():
+                self.coupled.append((f, t, yoff))
 
     def flat_voltages(self) -> np.ndarray:
         v = np.ones(self.n, dtype=complex)
@@ -205,36 +203,17 @@ class _LinearSequenceSolver:
         self.keep = keep
         ysub = y[np.ix_(keep, keep)].tocsc()
 
-        dense_rows = np.abs(y.toarray())
-        row_scale = dense_rows.max(axis=1)
-        row_sum = np.abs(y.toarray().sum(axis=1))
+        dense = y.toarray()
+        row_scale = np.abs(dense).max(axis=1)
+        row_sum = np.abs(dense.sum(axis=1))
         anchored_bus = (row_sum > 1e-8 * np.maximum(1.0, row_scale)) | (
-            np.abs(y.toarray()[:, slack]) > 0
+            np.abs(dense[:, slack]) > 0
         )
 
-        # Union components over the off-diagonal structure of the reduced
-        # matrix; a component is solvable iff some member is anchored.
-        nk = keep.size
-        parent = list(range(nk))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        coo = ysub.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            if r != c and abs(v) > 0:
-                pr, pc = find(r), find(c)
-                if pr != pc:
-                    parent[pr] = pc
-
-        comp_anchored: dict[int, bool] = {}
-        for k in range(nk):
-            root = find(k)
-            comp_anchored[root] = comp_anchored.get(root, False) or anchored_bus[keep[k]]
-        solvable = np.array([comp_anchored[find(k)] for k in range(nk)], dtype=bool)
+        # Components of the reduced matrix's nonzero structure; a component
+        # is solvable iff some member is anchored.
+        _, labels = connected_components(ysub != 0, directed=False)
+        solvable = np.bincount(labels, weights=anchored_bus[keep])[labels] > 0
         self.solvable_local = np.where(solvable)[0]
         self.pinned_local = np.where(~solvable)[0]
 
@@ -405,9 +384,8 @@ def _compensation_arrays(
         inj[i, 1] -= i_seq[1] - i1_balanced
         inj[i, 2] -= i_seq[2]
 
-    for f, t, _br, yfull in ops.coupled:
+    for f, t, yoff in ops.coupled:
         dv = seq[f] - seq[t]  # (3,) sequence-domain across-voltages
-        yoff = yfull - np.diag(np.diag(yfull))
         di = yoff @ dv  # extra series current per sequence
         inj[f] -= di
         inj[t] += di
@@ -466,7 +444,6 @@ def solve_three_sequence(
 
     total_nr = 0
     mismatch = np.inf
-    history: list[float] = []
     comp = np.zeros((ops.n, 3), dtype=complex)
     converged = False
     outer = 0
@@ -474,9 +451,8 @@ def solve_three_sequence(
         outer += 1
         comp = _compensation_arrays(ops, v0, v1, v2, loads_ph)
         extra = v1 * np.conj(comp[:, 1])
-        v1_new, it, mismatch, nr_hist = _nr_solve(ops, sbus_const + extra, opts, v_start=v1)
+        v1_new, it, mismatch, _ = _nr_solve(ops, sbus_const + extra, opts, v_start=v1)
         total_nr += it
-        history = nr_hist
         v0_new = ops.lin0.solve(comp[:, 0])
         v2_new = ops.lin2.solve(comp[:, 2])
         # The positive-sequence change alone can read zero one pass before
@@ -502,15 +478,12 @@ def solve_three_sequence(
         v1=v1,
         v2=v2,
         slack_power_pu=0j,
-        flows={},
         iterations_outer=outer,
         iterations_nr=total_nr,
         max_mismatch=mismatch,
-        nr_history=tuple(history),
         comp_injections=comp,
         loads_phase=loads_ph,
     )
-    sol.flows = branch_flows(sol, net, ops=ops)
     sol.slack_power_pu = slack_power(sol, net, ops=ops)
     return sol
 
@@ -541,33 +514,11 @@ def branch_flows(
     into the branch at each end so the two columns sum to the loss.
     """
     ops = ops or SequenceOps(net)
-    idx = ops.idx
     seq = np.stack([sol.v0, sol.v1, sol.v2], axis=1)
     out: dict[tuple[int, int], np.ndarray] = {}
-    for br in net.branches:
-        f, t = idx[br.from_bus], idx[br.to_bus]
+    for f, t, br, (yff, yft, ytt) in ops.blocks:
         vf, vt = seq[f], seq[t]
-        yfull = (
-            np.linalg.inv(br.series_impedance_matrix())
-            if br.coupling
-            else np.diag([1.0 / br.z0, 1.0 / br.z1, 1.0 / br.z2])
-        )
-        series = yfull @ (vf - vt)  # coupling-aware series currents (tap == 1 there)
-        flows = np.zeros((3, 2), dtype=complex)
-        for s in range(3):
-            z = (br.z0, br.z1, br.z2)[s]
-            bsh = br.b0 if s == 0 else br.b1
-            if s == 0 and br.zero_seq_open:
-                i_f = 0j
-                i_t = vt[0] / z if abs(z) > 0 else 0j
-            elif br.tap != 1.0:
-                ys = yfull[s, s]
-                i_f = (ys + 1j * bsh / 2.0) / br.tap**2 * vf[s] - ys / br.tap * vt[s]
-                i_t = (ys + 1j * bsh / 2.0) * vt[s] - ys / br.tap * vf[s]
-            else:
-                i_f = series[s] + 1j * bsh / 2.0 * vf[s]
-                i_t = -series[s] + 1j * bsh / 2.0 * vt[s]
-            flows[s, 0] = vf[s] * np.conj(i_f)
-            flows[s, 1] = vt[s] * np.conj(i_t)
-        out[(br.from_bus, br.to_bus)] = flows
+        i_f = yff @ vf + yft @ vt
+        i_t = yft @ vf + ytt @ vt
+        out[(br.from_bus, br.to_bus)] = np.stack([vf * np.conj(i_f), vt * np.conj(i_t)], axis=1)
     return out

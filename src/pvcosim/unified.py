@@ -131,7 +131,7 @@ class _CombinedModel:
         # solver does; no current flows through the leg, so the physics is
         # unchanged.
         slack_pos = [i for i, b in enumerate(net.buses) if b.kind == "slack"][0]
-        lin0 = _LinearSequenceSolver(build_sequence_admittance(net, 0), slack_pos)
+        lin0 = _LinearSequenceSolver(build_sequence_admittance(net)[0], slack_pos)
         zero_ground = _seq_block_to_phase(np.diag([1.0, 0.0, 0.0]).astype(complex))
         for local in lin0.pinned_local:
             bus_pos = int(lin0.keep[local])

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares no code with the
 package: Gauss-Seidel for the positive-sequence power flow, dense
 phase-frame fixed-point nodal solves, closed-form two-bus voltage,
-element-by-element admittance assembly, and the feeder sweep as a
+element-by-element admittance assembly, per-sequence branch flows,
+union-find sequence-network islands, and the feeder sweep as a
 node-by-node tree walk.
 """
 
@@ -82,6 +83,67 @@ def brute_force_sequence_y(net, seq: int) -> np.ndarray:
     for b in net.buses:
         y[pos[b.id], pos[b.id]] += complex(b.shunt_g, b.shunt_b)
     return y
+
+
+def union_find_islands(y, slack: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solvable and pinned buses of a slack-grounded sequence network.
+
+    Positions are local to the non-slack buses. Buses are joined by
+    union-find over the nonzero off-diagonal entries of the reduced
+    matrix; a component is solvable iff some member has a path to ground
+    (a nonzero row sum, i.e. a shunt, or a nonzero entry to the slack).
+    """
+    y = np.asarray(y.toarray() if hasattr(y, "toarray") else y, dtype=complex)
+    n = y.shape[0]
+    keep = [i for i in range(n) if i != slack]
+    parent = list(range(len(keep)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for r in range(len(keep)):
+        for c in range(len(keep)):
+            if r != c and abs(y[keep[r], keep[c]]) > 0:
+                pr, pc = find(r), find(c)
+                if pr != pc:
+                    parent[pr] = pc
+
+    anchored = {}
+    for k, bus in enumerate(keep):
+        scale = max(1.0, max(abs(v) for v in y[bus]))
+        grounded = abs(y[bus].sum()) > 1e-8 * scale or abs(y[bus, slack]) > 0
+        anchored[find(k)] = anchored.get(find(k), False) or grounded
+    solvable = [k for k in range(len(keep)) if anchored[find(k)]]
+    pinned = [k for k in range(len(keep)) if not anchored[find(k)]]
+    return np.array(solvable, dtype=int), np.array(pinned, dtype=int)
+
+
+def naive_branch_flows(br, vf, vt) -> np.ndarray:
+    """Per-sequence complex power into one branch at each end, (3, 2).
+
+    Pi model with the off-nominal tap on the from side, written out one
+    sequence at a time from the branch fields.
+    """
+    zm = np.diag([br.z0, br.z1, br.z2]).astype(complex)
+    for key, val in br.coupling.items():
+        zm[int(key[1]), int(key[2])] = val
+    ym = np.linalg.inv(zm)
+    out = np.zeros((3, 2), dtype=complex)
+    for s in range(3):
+        bsh = br.b0 if s == 0 else br.b1
+        if s == 0 and br.zero_seq_open:
+            i_f = 0j
+            i_t = vt[0] / br.z0
+        else:
+            i_ser = sum(ym[s, k] * (vf[k] / br.tap - vt[k]) for k in range(3))
+            i_f = i_ser / br.tap + 0.5j * bsh * vf[s] / br.tap**2
+            i_t = -i_ser + 0.5j * bsh * vt[s]
+        out[s, 0] = vf[s] * np.conj(i_f)
+        out[s, 1] = vt[s] * np.conj(i_t)
+    return out
 
 
 def phase_frame_two_bus(

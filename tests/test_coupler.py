@@ -80,14 +80,6 @@ def test_boundary_error_mismatched_sets():
         )
 
 
-def test_voltage_only_variant():
-    v = np.ones((1, 3), dtype=complex)
-    s = np.zeros((1, 3), dtype=complex)
-    s2 = s + 0.5
-    assert boundary_error(_state(v, s), _state(v, s2, 1)) == pytest.approx(0.5)
-    assert boundary_error(_state(v, s), _state(v, s2, 1), voltage_only=True) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # run_step
 # ---------------------------------------------------------------------------
@@ -283,7 +275,6 @@ def test_source_voltage_reconstruction_spread():
         v1=np.array([1.05 + 0j]),
         v2=np.array([0.002 + 0j]),
         slack_power_pu=0j,
-        flows={},
         iterations_outer=1,
         iterations_nr=1,
         max_mismatch=0.0,

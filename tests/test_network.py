@@ -63,6 +63,16 @@ def test_zero_impedance_branch_rejected():
         load_network(json.dumps(doc))
 
 
+@pytest.mark.parametrize("zero_seq_open", [False, True])
+@pytest.mark.parametrize("name", ["z0", "z2"])
+def test_zero_sequence_impedance_branch_rejected(name, zero_seq_open):
+    doc = json.loads(two_bus_case())
+    doc["branches"][0][name] = [0.0, 0.0]
+    doc["branches"][0]["zero_seq_open"] = zero_seq_open
+    with pytest.raises(NetworkDataError, match=rf"branch 1-2: \|{name}\| must be > 0"):
+        load_network(json.dumps(doc))
+
+
 def test_single_branch_admittance_matrix():
     net = load_network(
         json.dumps(
@@ -77,7 +87,7 @@ def test_single_branch_admittance_matrix():
             }
         )
     )
-    y1 = build_sequence_admittance(net, 1).toarray()
+    y1 = build_sequence_admittance(net)[1].toarray()
     expected = np.array([[-10j, 10j], [10j, -10j]])
     assert np.allclose(y1, expected, atol=1e-15)
 
@@ -99,7 +109,7 @@ def test_zero_seq_open_blocks_coupling():
             }
         )
     )
-    y0 = build_sequence_admittance(net, 0).toarray()
+    y0 = build_sequence_admittance(net)[0].toarray()
     assert y0[0, 1] == 0 and y0[1, 0] == 0
     assert y0[0, 0] == 0
     assert y0[1, 1] == pytest.approx(1 / 0.25j)  # grounding leg on the to side
@@ -107,14 +117,14 @@ def test_zero_seq_open_blocks_coupling():
 
 def test_bundled_y1_matches_brute_force(ieee9):
     for seq in (0, 1, 2):
-        y = build_sequence_admittance(ieee9, seq).toarray()
+        y = build_sequence_admittance(ieee9)[seq].toarray()
         ref = brute_force_sequence_y(ieee9, seq)
         assert np.max(np.abs(y - ref)) < 1e-12
 
 
 def test_admittance_symmetry(ieee9):
     for seq in (0, 1, 2):
-        y = build_sequence_admittance(ieee9, seq).toarray()
+        y = build_sequence_admittance(ieee9)[seq].toarray()
         assert np.max(np.abs(y - y.T)) < 1e-14
 
 
@@ -129,7 +139,7 @@ def test_row_sums_vanish_without_shunts(ieee9):
         bus["shunt_b"] = 0.0
     net = load_network(json.dumps(doc))
     for seq in (0, 1, 2):
-        y = build_sequence_admittance(net, seq).toarray()
+        y = build_sequence_admittance(net)[seq].toarray()
         assert np.max(np.abs(y.sum(axis=1))) < 1e-12
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pvcosim import generate, load_feeder, load_profile, profile_value, pv_rating
+from pvcosim import generate, load_feeder, load_profile, pv_rating
 from pvcosim.scenarios import (
     GenerationProfile,
     load_scenarios,
@@ -55,16 +55,16 @@ def synthetic_feeder(n_customers=20, commercial_every=5):
 
 def test_bundled_profile_invariants(profile):
     for h in list(range(0, 6)) + list(range(20, 24)):
-        assert profile_value(profile, h) == 0.0
-    assert profile_value(profile, 12) == 1.0
+        assert profile.value(h) == 0.0
+    assert profile.value(12) == 1.0
     assert profile.daily_energy_per_kw() == pytest.approx(sum(profile.factors))
 
 
 def test_profile_rejects_out_of_range_hour(profile):
     with pytest.raises(ValueError):
-        profile_value(profile, 24)
+        profile.value(24)
     with pytest.raises(ValueError):
-        profile_value(profile, -1)
+        profile.value(-1)
 
 
 def test_profile_validation():

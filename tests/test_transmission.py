@@ -21,12 +21,13 @@ from pvcosim.transmission import (
     SequenceSolveError,
     SingularJacobianError,
     SolverOptions,
+    _LinearSequenceSolver,
     branch_flows,
     slack_power,
 )
 
 from .conftest import two_bus_case
-from .oracles import gauss_seidel, phase_frame_two_bus
+from .oracles import gauss_seidel, naive_branch_flows, phase_frame_two_bus, union_find_islands
 
 # Receiving-end voltage of the standard two-bus fixture, computed once
 # with the Gauss-Seidel reference to 1e-14 and frozen.
@@ -42,7 +43,7 @@ def test_two_bus_matches_frozen_gauss_seidel():
 
 def test_two_bus_matches_live_gauss_seidel():
     net = load_network(two_bus_case())
-    y = build_sequence_admittance(net, 1).toarray()
+    y = build_sequence_admittance(net)[1].toarray()
     ref = gauss_seidel(
         y,
         np.array([0, -(1.0 + 0.5j)]),
@@ -125,7 +126,7 @@ def test_singular_jacobian_reports_bus():
 
 
 def test_linear_solve_zero_injection_is_zero(ieee9):
-    y2 = build_sequence_admittance(ieee9, 2)
+    y2 = build_sequence_admittance(ieee9)[2]
     v = solve_sequence_linear(y2, np.zeros(9, dtype=complex), slack_index=0)
     assert np.max(np.abs(v)) == 0
 
@@ -150,7 +151,7 @@ def test_linear_solve_two_bus_hand_inverse():
 
 def test_linear_solve_residual_on_random_injections(ieee9):
     rng = np.random.default_rng(11)
-    y2 = build_sequence_admittance(ieee9, 2)
+    y2 = build_sequence_admittance(ieee9)[2]
     inj = rng.normal(size=9) * 0.05 + 1j * rng.normal(size=9) * 0.05
     inj[0] = 0
     v = solve_sequence_linear(y2, inj, slack_index=0)
@@ -158,11 +159,12 @@ def test_linear_solve_residual_on_random_injections(ieee9):
     assert np.max(np.abs(residual[1:])) < 1e-10
 
 
-def test_linear_solve_floating_island_reports_buses():
+def _floating_island_y():
+    """Slack with a shunt, plus a two-bus island with no path to ground."""
     import scipy.sparse as sp
 
     y = 1 / (0.0 + 0.3j)
-    ymat = sp.csc_matrix(
+    return sp.csc_matrix(
         np.array(
             [
                 [2.0 + 0j, 0, 0],
@@ -171,6 +173,10 @@ def test_linear_solve_floating_island_reports_buses():
             ]
         )
     )
+
+
+def test_linear_solve_floating_island_reports_buses():
+    ymat = _floating_island_y()
     with pytest.raises(SequenceSolveError) as err:
         solve_sequence_linear(ymat, np.array([0, 0.1 + 0j, 0]), slack_index=0)
     assert set(err.value.bus_positions) <= {1, 2}
@@ -178,6 +184,36 @@ def test_linear_solve_floating_island_reports_buses():
     # Zero injection into the island is fine: it is pinned to zero volts.
     v = solve_sequence_linear(ymat, np.zeros(3, dtype=complex), slack_index=0)
     assert np.max(np.abs(v)) == 0
+
+
+def test_island_partition_matches_union_find(ieee9):
+    doc = json.loads((__import__("pvcosim").data_path("ieee9.json")).read_text())
+    for br in doc["branches"]:
+        br.pop("zero_seq_open", None)
+    grounded = load_network(json.dumps(doc))
+    # Without line charging and shunts every row sum vanishes, so only the
+    # coupling to the slack grounds a component.
+    for br in doc["branches"]:
+        br["b1"] = br["b0"] = 0.0
+    for bus in doc["buses"]:
+        bus["shunt_g"] = bus["shunt_b"] = 0.0
+    series_only = load_network(json.dumps(doc))
+    cases = [
+        *build_sequence_admittance(ieee9),
+        *build_sequence_admittance(grounded),
+        *build_sequence_admittance(series_only),
+        _floating_island_y(),
+    ]
+    pinned_seen = 0
+    for y in cases:
+        lin = _LinearSequenceSolver(y, 0)
+        solvable, pinned = union_find_islands(y, 0)
+        assert np.array_equal(lin.solvable_local, solvable)
+        assert np.array_equal(lin.pinned_local, pinned)
+        pinned_seen += pinned.size
+    # ieee9's y0 floats the two non-slack generator buses behind
+    # zero_seq_open, and the island case floats two buses.
+    assert pinned_seen == 2 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +370,7 @@ def test_monotone_load_response(ieee9):
 def test_branch_flow_two_bus_hand_value():
     net = load_network(two_bus_case())
     sol = solve_three_sequence(net)
-    flows = sol.flows[(1, 2)]
+    flows = branch_flows(sol, net)[(1, 2)]
     z = 0.01 + 0.1j
     i = (sol.v1[0] - sol.v1[1]) / z
     assert abs(flows[1, 0] - sol.v1[0] * np.conj(i)) < 1e-12
@@ -343,9 +379,55 @@ def test_branch_flow_two_bus_hand_value():
     assert abs((flows[1, 0] + flows[1, 1]) - abs(i) ** 2 * z) < 1e-12
 
 
+_UNBALANCED_PCC = {2: np.array([0.3 + 0.1j, 0.2 + 0.05j, 0.25 + 0.12j])}
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"tap": 1.05, "b1": 0.2, "b0": 0.1, "z0": [0.03, 0.3]},
+        {"b1": 0.2, "coupling": {"z12": [0.002, 0.015], "z21": [0.001, 0.008]}},
+    ],
+    ids=["tap_and_charging", "coupled"],
+)
+def test_branch_flows_match_per_sequence_formula(extra):
+    doc = json.loads(two_bus_case())
+    doc["branches"][0].update(extra)
+    net = load_network(json.dumps(doc))
+    br = net.branches[0]
+    sol = solve_three_sequence(net, _UNBALANCED_PCC)
+    vf = np.array([sol.v0[0], sol.v1[0], sol.v2[0]])
+    vt = np.array([sol.v0[1], sol.v1[1], sol.v2[1]])
+    assert np.min(np.abs(vt[[0, 2]])) > 1e-4  # every sequence carries flow
+
+    flows = branch_flows(sol, net)[(1, 2)]
+    assert np.max(np.abs(flows - naive_branch_flows(br, vf, vt))) < 1e-12
+
+    # from-end + to-end = series loss + line charging, per sequence
+    zm = br.series_impedance_matrix()
+    dv = vf / br.tap - vt
+    i_ser = np.linalg.solve(zm, dv)
+    loss = dv * np.conj(i_ser)
+    charging = -0.5j * np.array([br.b0, br.b1, br.b1]) * (np.abs(vf / br.tap) ** 2 + np.abs(vt) ** 2)
+    assert np.max(np.abs(flows.sum(axis=1) - (loss + charging))) < 1e-12
+
+
+def test_branch_flows_match_per_sequence_formula_on_ieee9(ieee9):
+    # ieee9 has line charging and zero_seq_open generator transformers.
+    pcc = {5: np.array([0.3 + 0.1j, 0.2 + 0.05j, 0.25 + 0.12j])}
+    sol = solve_three_sequence(ieee9, pcc)
+    flows = branch_flows(sol, ieee9)
+    for br in ieee9.branches:
+        f, t = sol.index_of(br.from_bus), sol.index_of(br.to_bus)
+        vf = np.array([sol.v0[f], sol.v1[f], sol.v2[f]])
+        vt = np.array([sol.v0[t], sol.v1[t], sol.v2[t]])
+        ref = naive_branch_flows(br, vf, vt)
+        assert np.max(np.abs(flows[(br.from_bus, br.to_bus)] - ref)) < 1e-12
+
+
 def test_branch_flows_cover_exactly_model_branches(ieee9):
     sol = solve_three_sequence(ieee9)
-    assert set(sol.flows) == {(br.from_bus, br.to_bus) for br in ieee9.branches}
+    assert set(branch_flows(sol, ieee9)) == {(br.from_bus, br.to_bus) for br in ieee9.branches}
 
 
 def test_flow_direction_reverses_under_high_injection(ieee9):
@@ -354,8 +436,8 @@ def test_flow_direction_reverses_under_high_injection(ieee9):
     pcc = {b.id: -np.full(3, complex(b.load_p * 1.4, b.load_q) / 3)
            for b in ieee9.buses if b.load_p}
     high = solve_three_sequence(ieee9, pcc)
-    s_base = base.flows[(4, 5)][1, 0].real
-    s_high = high.flows[(4, 5)][1, 0].real
+    s_base = branch_flows(base, ieee9)[(4, 5)][1, 0].real
+    s_high = branch_flows(high, ieee9)[(4, 5)][1, 0].real
     assert np.sign(s_base) != np.sign(s_high)
 
 
@@ -381,7 +463,7 @@ def test_power_balance(ieee9):
         total_load = sol.loads_phase.sum()
 
         losses = 0j
-        for (f, t), fl in sol.flows.items():
+        for (f, t), fl in branch_flows(sol, ieee9, ops=ops).items():
             losses += fl.sum()
         shunt = 0j
         seq_v = [sol.v0, sol.v1, sol.v2]
