@@ -32,9 +32,9 @@ from .coupler import (  # noqa: E402
 from .driver import (  # noqa: E402
     ResultSet,
     RunConfig,
-    compare_sweep,
     detect_reverse_flow,
     emit,
+    oracle_rows,
     run,
     unbalance_factor,
 )
@@ -44,7 +44,6 @@ from .feeder import (  # noqa: E402
     apply_scenario,
     load_feeder,
     load_feeder_file,
-    pcc_power,
     solve_feeder,
 )
 from .network import (  # noqa: E402

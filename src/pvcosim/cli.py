@@ -7,12 +7,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .coupler import attach, run_step
-from .driver import RunConfig, compare_sweep, emit, run, validate_config
+from .driver import RunConfig, emit, oracle_rows, run, validate_config
 from .feeder import load_feeder_file
 from .network import load_network_file
-from .scenarios import generate, load_profile_file, save_scenarios
-from .unified import compare, solve_unified
+from .scenarios import feeder_seed, generate, load_profile_file, save_scenarios
+from .unified import AGREEMENT_PU
 
 
 def _load_config(args) -> RunConfig:
@@ -48,30 +47,35 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = compare_sweep(cfg, scenario_id=args.scenario, out_path=out / "compare.csv")
-    print(f"{'level':>5} {'bus':>4} {'cosim':>9} {'unified':>9} {'diff':>11}")
-    for r in rows:
+    results = run(replace(cfg, mode="both"))
+    paths = emit(results, cfg.out_dir)
+    failed = [r for r in [*results.baseline.values(), *results.records] if r.error]
+    print(
+        f"{'scen':>4} {'level':>5} {'hour':>4} {'bus':>4} "
+        f"{'cosim':>9} {'unified':>9} {'diff':>11}"
+    )
+    worst = 0.0
+    for rec, bus, v_cs, v_us in oracle_rows(results):
+        diff = abs(v_cs - v_us)
+        worst = max(worst, diff)
         print(
-            f"{r['level']:>5} {r['bus']:>4} {r['v_cosim']:>9.4f} "
-            f"{r['v_unified']:>9.4f} {r['diff']:>11.3e}"
+            f"{rec.scenario_id:>4} {rec.level:>5} {rec.hour:>4} {bus:>4} "
+            f"{abs(v_cs):>9.4f} {abs(v_us):>9.4f} {diff:>11.3e}"
         )
-    worst = max(r["diff"] for r in rows)
+    for rec in failed:
+        print(f"case ({rec.scenario_id}, {rec.level}, {rec.hour}) failed: {rec.error}")
     print(f"max positive-sequence PCC difference: {worst:.3e} pu")
-    print(f"wrote {out / 'compare.csv'}")
-    return 0 if worst < 1e-3 else 1
+    print(f"wrote {paths['compare']}")
+    return 0 if not failed and worst < AGREEMENT_PU else 1
 
 
 def _cmd_gen_scenarios(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    import numpy as np
-
     for k, (path, bus) in enumerate(cfg.feeders):
         feeder = load_feeder_file(path)
-        seed = int(np.random.SeedSequence([cfg.master_seed, k]).generate_state(1, np.uint64)[0])
+        seed = feeder_seed(cfg.master_seed, k)
         scen = generate(feeder, list(cfg.levels), cfg.n_scenarios, seed, cfg.scenario_mode)
         target = out / f"scenarios_bus{bus}.json"
         save_scenarios(target, scen, seed, cfg.scenario_mode)
@@ -84,28 +88,30 @@ def _cmd_validate(args) -> int:
     net = load_network_file(cfg.network)
     print(f"network: {len(net.buses)} buses, {len(net.branches)} branches, "
           f"{len(net.generators)} generators [ok]")
-    feeders = []
     for path, bus in cfg.feeders:
         f = load_feeder_file(path)
-        feeders.append((f, bus))
         print(f"feeder at bus {bus}: {len(f.nodes)} nodes, "
               f"{len(f.customers())} customers, peak {f.peak_kw:.0f} kW [ok]")
     profile = load_profile_file(cfg.profile)
     print(f"profile '{profile.name}': daily energy {profile.daily_energy_per_kw():.2f} kWh/kW [ok]")
 
-    attachments = [attach(net, bus, f) for f, bus in feeders]
-    cs = run_step(net, attachments, cfg.hours[0], None, cfg.coupler, solver_opts=cfg.solver)
-    us = solve_unified(net, attachments, cfg.hours[0], None)
-    rep = compare(cs, us, attachments)
-    print(f"no-PV base case: {cs.fpi_iterations} boundary iterations")
-    for row in rep["per_pcc"]:
+    hour = cfg.hours[0]
+    results = run(replace(cfg, mode="both", n_scenarios=0, hours=(hour,)))
+    base = results.baseline[hour]
+    if base.error:
+        print(f"no-PV base case failed: {base.error}")
+        print("FAIL")
+        return 1
+    print(f"no-PV base case: {base.fpi_iterations} boundary iterations")
+    for _rec, bus, v_cs, v_us in oracle_rows(results):
         print(
-            f"  bus {row['bus']}: cosim {abs(row['v_cosim']):.4f} pu, "
-            f"unified {abs(row['v_unified']):.4f} pu, diff {row['diff']:.2e}"
+            f"  bus {bus}: cosim {abs(v_cs):.4f} pu, "
+            f"unified {abs(v_us):.4f} pu, diff {abs(v_cs - v_us):.2e}"
         )
-    print(f"max difference {rep['max_diff']:.2e} pu "
-          f"({'PASS' if rep['passed'] else 'FAIL'} at {rep['threshold']} pu)")
-    return 0 if rep["passed"] else 1
+    passed = base.oracle_diff < AGREEMENT_PU
+    print(f"max difference {base.oracle_diff:.2e} pu "
+          f"({'PASS' if passed else 'FAIL'} at {AGREEMENT_PU} pu)")
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:
@@ -129,9 +135,8 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser(
-        "compare", parents=[common], help="co-simulation vs unified model across levels"
+        "compare", parents=[common], help="co-simulation vs unified model over the grid"
     )
-    p_cmp.add_argument("--scenario", type=int, default=0, help="scenario id to compare")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_gen = sub.add_parser(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,8 @@ from . import data_path
 from .coupler import CoSimOptions, attach, boundary_error, effective_network, run_step
 from .feeder import load_feeder_file
 from .network import load_network_file
-from .scenarios import PvScenario, generate, load_profile_file
-from .sequences import unbalance_percent
+from .scenarios import PvScenario, feeder_seed, generate, load_profile_file
+from .sequences import A_ANA, unbalance_percent
 from .transmission import SequenceOps, SolverOptions, branch_flows
 from .unified import compare, solve_unified
 
@@ -35,7 +35,7 @@ __all__ = [
     "unbalance_factor",
     "detect_reverse_flow",
     "emit",
-    "compare_sweep",
+    "oracle_rows",
 ]
 
 
@@ -202,15 +202,17 @@ class _Runner:
             attach(self.net, bus, f) for (_, bus), f in zip(cfg.feeders, self.feeders)
         ]
         self.seq_ops = SequenceOps(effective_network(self.net, self.attachments))
+        # Only PV cases draw scenarios, so a baseline-only run (n_scenarios=0)
+        # also accepts a feeder without customers.
         self.scenarios: list[dict[tuple[int, int], PvScenario]] = []
         for k, f in enumerate(self.feeders):
-            seed = int(
-                np.random.SeedSequence([cfg.master_seed, k]).generate_state(1, np.uint64)[0]
+            seed = feeder_seed(cfg.master_seed, k)
+            drawn = (
+                generate(f, list(cfg.levels), cfg.n_scenarios, seed, cfg.scenario_mode)
+                if cfg.n_scenarios
+                else []
             )
-            table = {}
-            for s in generate(f, list(cfg.levels), cfg.n_scenarios, seed, cfg.scenario_mode):
-                table[(s.scenario_id, s.penetration_pct)] = s
-            self.scenarios.append(table)
+            self.scenarios.append({(s.scenario_id, s.penetration_pct): s for s in drawn})
 
     def scenario_list(self, sid: int, level: int) -> list[PvScenario | None]:
         if level == 0:
@@ -239,9 +241,7 @@ class _Runner:
                 flow_signs={},
                 fpi_iterations=0,
                 wall_ms=wall_ms,
-                oracle_v1=tuple(
-                    (us.positive_sequence(b)) for b in buses
-                ),
+                oracle_v1=tuple(us.positive_sequence(b) for b in buses),
             )
             return record, []
 
@@ -395,6 +395,18 @@ def detect_reverse_flow(results: ResultSet) -> dict[tuple[int, int, int], dict]:
     return flags
 
 
+def oracle_rows(results: ResultSet):
+    """Yield ``(record, bus, v1_cosim, v1_oracle)`` per PCC for every case
+    solved by both models, the no-PV baselines first. The positive-sequence
+    voltages are complex pu; ``v1_cosim`` comes from the record's phase
+    voltages."""
+    for rec in [*results.baseline.values(), *results.records]:
+        if rec.oracle_diff is None:
+            continue
+        for i, bus in enumerate(rec.pcc_bus):
+            yield rec, bus, (A_ANA @ rec.v_phase[i])[1], rec.oracle_v1[i]
+
+
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
@@ -405,7 +417,8 @@ def _fmt(x: float) -> str:
 
 
 def emit(results: ResultSet, out_dir) -> dict[str, Path]:
-    """Write results.csv, aggregates.json, trace.jsonl and plot data."""
+    """Write results.csv, aggregates.json, trace.jsonl and plot data, plus
+    compare.csv in ``both`` mode."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     flags = detect_reverse_flow(results)
@@ -489,67 +502,20 @@ def emit(results: ResultSet, out_dir) -> dict[str, Path]:
         for level, ldata in sorted(agg["levels"].items(), key=lambda kv: int(kv[0])):
             fh.write(f"{level},{_fmt(ldata['mean_fpi'])}\n")
 
-    return {
+    paths = {
         "results": results_csv,
         "aggregates": aggregates_json,
         "trace": trace_jsonl,
         "plot_voltage": plot_v,
         "plot_iterations": plot_it,
     }
-
-
-def compare_sweep(config: RunConfig, scenario_id: int = 0, out_path=None) -> list[dict]:
-    """Run co-simulation and unified solves across levels for one scenario.
-
-    When ``out_path`` is given, writes the comparison table as CSV and a
-    JSON twin alongside it.
-    """
-    runner = _Runner(config)
-    hour = config.hours[0]
-    rows = []
-    for level in config.levels:
-        scen = runner.scenario_list(scenario_id, level)
-        cs = run_step(
-            runner.net,
-            runner.attachments,
-            hour,
-            scen,
-            config.coupler,
-            profile=runner.profile,
-            solver_opts=config.solver,
-            seq_ops=runner.seq_ops,
-        )
-        us = solve_unified(runner.net, runner.attachments, hour, scen, profile=runner.profile)
-        rep = compare(cs, us, runner.attachments)
-        for r in rep["per_pcc"]:
-            rows.append(
-                {
-                    "level": level,
-                    "bus": r["bus"],
-                    "v_cosim": abs(r["v_cosim"]),
-                    "v_unified": abs(r["v_unified"]),
-                    "diff": r["diff"],
-                }
-            )
-    if out_path is not None:
-        out_path = Path(out_path)
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("level,bus,v_cosim,v_unified,diff\n")
-            for r in rows:
+    if results.config.mode == "both":
+        paths["compare"] = out / "compare.csv"
+        with open(paths["compare"], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("scenario,level,hour,bus,v_cosim,v_unified,diff\n")
+            for rec, bus, v_cs, v_us in oracle_rows(results):
                 fh.write(
-                    f"{r['level']},{r['bus']},{_fmt(r['v_cosim'])},"
-                    f"{_fmt(r['v_unified'])},{_fmt(r['diff'])}\n"
+                    f"{rec.scenario_id},{rec.level},{rec.hour},{bus},{_fmt(abs(v_cs))},"
+                    f"{_fmt(abs(v_us))},{_fmt(abs(v_cs - v_us))}\n"
                 )
-        with open(out_path.with_suffix(".json"), "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "scenario_id": scenario_id,
-                    "hour": hour,
-                    "max_diff": max((r["diff"] for r in rows), default=0.0),
-                    "rows": rows,
-                },
-                fh,
-                indent=1,
-                sort_keys=True,
-            )
-    return rows
+    return paths

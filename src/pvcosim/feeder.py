@@ -29,7 +29,6 @@ __all__ = [
     "load_feeder",
     "load_feeder_file",
     "solve_feeder",
-    "pcc_power",
     "apply_scenario",
     "scenario_loads",
 ]
@@ -438,8 +437,3 @@ def solve_feeder(
         iterations=it,
         v_ln_base=ops.v_ln,
     )
-
-
-def pcc_power(sol: FeederSolution) -> np.ndarray:
-    """Per-phase complex power (kW/kvar) drawn at the PCC."""
-    return sol.pcc_power_kw.copy()

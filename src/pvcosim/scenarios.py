@@ -21,6 +21,7 @@ __all__ = [
     "GenerationProfile",
     "PvScenario",
     "pv_rating",
+    "feeder_seed",
     "generate",
     "load_profile",
     "load_profile_file",
@@ -82,6 +83,13 @@ def pv_rating(
     if customer_class not in factors:
         raise ValueError(f"unknown customer class {customer_class!r}")
     return feeder_peak_kw / customer_count * factors[customer_class]
+
+
+def feeder_seed(master_seed: int, feeder_index: int) -> int:
+    """Master seed of the scenario set drawn for the ``feeder_index``-th
+    configured feeder."""
+    ss = np.random.SeedSequence([int(master_seed), int(feeder_index)])
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _scenario_seed(master_seed: int, scenario_id: int, level: int) -> int:

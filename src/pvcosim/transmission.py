@@ -13,7 +13,7 @@ Loads are constant-power per phase. A balanced bus load is the triple
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -102,8 +102,8 @@ class SeqSolution:
     iterations_outer: int
     iterations_nr: int
     max_mismatch: float
-    comp_injections: np.ndarray | None = None  # (n, 3) sequence current injections
-    loads_phase: np.ndarray | None = None  # (n, 3) per-phase powers actually served
+    comp_injections: np.ndarray  # (n, 3) sequence current injections
+    loads_phase: np.ndarray  # (n, 3) per-phase powers actually served
 
     def index_of(self, bus_id: int) -> int:
         return self.bus_ids.index(bus_id)
@@ -495,10 +495,8 @@ def slack_power(
     ops = ops or SequenceOps(net)
     s = ops.slack
     i_net = (ops.y1_dense @ sol.v1)[s]
-    i_comp = sol.comp_injections[s, 1] if sol.comp_injections is not None else 0j
-    s_load = (
-        sol.loads_phase[s].sum() if sol.loads_phase is not None else ops.static_loads[s]
-    )
+    i_comp = sol.comp_injections[s, 1]
+    s_load = sol.loads_phase[s].sum()
     i_load = np.conj(s_load / sol.v1[s]) if abs(s_load) > 0 else 0j
     i_gen = i_net - i_comp + i_load
     return complex(sol.v1[s] * np.conj(i_gen))

@@ -21,13 +21,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coupler import Attachment, CoSimResult, effective_network
+from .coupler import CoSimResult, effective_network
 from .feeder import PHASES, FeederModel, apply_scenario
 from .network import TransmissionNetwork, build_sequence_admittance
 from .sequences import A_ANA, A_SYN
 from .transmission import PowerFlowError, _LinearSequenceSolver
 
-__all__ = ["UnifiedSolution", "UnifiedSolveError", "solve_unified", "compare"]
+__all__ = ["UnifiedSolution", "UnifiedSolveError", "solve_unified", "compare", "AGREEMENT_PU"]
+
+AGREEMENT_PU = 1e-3  # largest positive-sequence PCC difference that passes
 
 
 class UnifiedSolveError(PowerFlowError):
@@ -37,11 +39,9 @@ class UnifiedSolveError(PowerFlowError):
 @dataclass
 class UnifiedSolution:
     bus_voltages: dict[int, np.ndarray]  # transmission bus -> (3,) pu phases
-    feeder_voltages: tuple[dict[str, np.ndarray], ...]  # per attachment: node -> phases (pu)
     pcc_voltage: np.ndarray  # (n_att, 3) pu
     pcc_power: np.ndarray  # (n_att, 3) per-phase system pu
     iterations: int
-    converged: bool
     residual: float
     slack_power_pu: complex = 0j
 
@@ -351,7 +351,6 @@ def solve_unified(
     n_att = len(attachments)
     pcc_v = np.zeros((n_att, 3), dtype=complex)
     pcc_s = np.zeros((n_att, 3), dtype=complex)
-    feeder_voltages = []
     for a_idx, (att, f) in enumerate(zip(attachments, feeders)):
         base = model.bus_slot[att.bus]
         vp = v[base : base + 3]
@@ -361,19 +360,6 @@ def solve_unified(
         i_ph = ytr * (vp - vroot)
         pcc_v[a_idx] = vp
         pcc_s[a_idx] = vp * np.conj(i_ph) / 3.0
-        feeder_voltages.append(
-            {
-                node.id: np.array(
-                    [
-                        v[model.feeder_slot[a_idx][node.id].get(p, -1)]
-                        if p in node.phases
-                        else np.nan
-                        for p in PHASES
-                    ]
-                )
-                for node in f.nodes
-            }
-        )
 
     bus_voltages = {
         b.id: v[model.bus_slot[b.id] : model.bus_slot[b.id] + 3].copy() for b in net.buses
@@ -384,17 +370,17 @@ def solve_unified(
     slack_s = complex((model.slack_v * np.conj(i_slack)).sum() / 3.0)
     return UnifiedSolution(
         bus_voltages=bus_voltages,
-        feeder_voltages=tuple(feeder_voltages),
         pcc_voltage=pcc_v,
         pcc_power=pcc_s,
         iterations=total_inner,
-        converged=True,
         residual=res,
         slack_power_pu=slack_s,
     )
 
 
-def compare(cs: CoSimResult, us: UnifiedSolution, attachments, threshold: float = 1e-3) -> dict:
+def compare(
+    cs: CoSimResult, us: UnifiedSolution, attachments, threshold: float = AGREEMENT_PU
+) -> dict:
     """Per-PCC positive-sequence voltage comparison of the two models."""
     attachments = list(attachments)
     if us.pcc_voltage.shape[0] != len(attachments):

@@ -5,11 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from pvcosim import attach, run_step, unbalance_factor
+from pvcosim import (
+    attach,
+    compare,
+    data_path,
+    generate,
+    run_step,
+    solve_unified,
+    unbalance_factor,
+)
 from pvcosim.cli import main as cli_main
 from pvcosim.coupler import CoSimOptions
-from pvcosim.driver import RunConfig, detect_reverse_flow, emit, run, validate_config
-from pvcosim.scenarios import load_scenarios
+from pvcosim.driver import (
+    RunConfig,
+    _Runner,
+    detect_reverse_flow,
+    emit,
+    run,
+    validate_config,
+)
+from pvcosim.scenarios import feeder_seed, load_scenarios
+
+from .conftest import small_feeder
+
+COMPARE_HEADER = "scenario,level,hour,bus,v_cosim,v_unified,diff"
 
 
 def small_config(**overrides):
@@ -46,6 +65,7 @@ def test_emit_files(tmp_path, small_results):
     paths = emit(small_results, tmp_path)
     for p in paths.values():
         assert p.exists()
+    assert not (tmp_path / "compare.csv").exists()  # written in "both" mode only
     with open(paths["results"]) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
@@ -203,6 +223,33 @@ def test_both_mode_records_diff():
     assert rec.oracle_diff < 1e-3
 
 
+def test_compare_csv_matches_direct_calls(tmp_path, ieee9, desk13, profile):
+    cfg = small_config(mode="both")
+    paths = emit(run(cfg), tmp_path)
+    with open(paths["compare"]) as fh:
+        assert fh.readline().strip() == COMPARE_HEADER
+        fh.seek(0)
+        rows = list(csv.DictReader(fh))
+    assert [(r["scenario"], r["level"], r["hour"]) for r in rows] == (
+        [("0", "0", "12")] * 3 + [("0", "10", "12")] * 3
+    )
+
+    atts = [attach(ieee9, b, desk13) for b in (5, 6, 8)]
+    drawn = [
+        generate(desk13, [10], 1, feeder_seed(cfg.master_seed, k))[0] for k in range(3)
+    ]
+    for level, scen in ((0, None), (10, drawn)):
+        cs = run_step(ieee9, atts, 12, scen, profile=profile)
+        us = solve_unified(ieee9, atts, 12, scen, profile=profile)
+        per_pcc = compare(cs, us, atts)["per_pcc"]
+        got = [r for r in rows if r["level"] == str(level)]
+        for row, ref in zip(got, per_pcc, strict=True):
+            assert int(row["bus"]) == ref["bus"]
+            assert float(row["v_unified"]) == abs(ref["v_unified"])
+            assert abs(float(row["v_cosim"]) - abs(ref["v_cosim"])) < 1e-12
+            assert abs(float(row["diff"]) - ref["diff"]) < 1e-12
+
+
 def test_oracle_mode_runs_unified_only():
     cosim = run(small_config()).records[0]
     rec = run(small_config(mode="oracle")).records[0]
@@ -254,14 +301,60 @@ def test_cli_run(tmp_path, capsys):
     assert (tmp_path / "plot_iterations.csv").exists()
 
 
+def one_feeder_config(tmp_path, feeder_path, **extra):
+    doc = {
+        "network": str(data_path("ieee9.json")),
+        "feeders": [{"path": str(feeder_path), "bus": 5}],
+        "profile": str(data_path("pv_profile.json")),
+        **extra,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_validate_failed_base_case(tmp_path, capsys):
+    cfg = one_feeder_config(
+        tmp_path, data_path("desk13.json"), coupler={"max_fpi": 1, "tol_boundary": 1e-12}
+    )
+    rc = cli_main(["validate", "--config", cfg])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL" in out
+    assert "[coupler]" in out
+
+
+def test_cli_validate_feeder_without_customers(tmp_path, capsys):
+    feeder = json.loads(small_feeder(trafo_z=(0.5, 2.0)))
+    del feeder["nodes"][1]["loads"]
+    (tmp_path / "feeder.json").write_text(json.dumps(feeder))
+    rc = cli_main(["validate", "--config", one_feeder_config(tmp_path, "feeder.json")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "0 customers" in out
+    assert "PASS" in out
+
+
 def test_cli_compare(tmp_path, capsys):
     rc = cli_main(
         ["compare", "--levels", "10,50", "--scenarios", "1", "--out", str(tmp_path)]
     )
     out = capsys.readouterr().out
     assert rc == 0
-    assert (tmp_path / "compare.csv").exists()
+    lines = (tmp_path / "compare.csv").read_text().splitlines()
+    assert lines[0] == COMPARE_HEADER
+    assert len(lines) == 1 + 3 * 3  # baseline, 10 % and 50 %, three PCCs each
     assert "max positive-sequence PCC difference" in out
+
+
+def test_cli_compare_covers_every_hour(tmp_path, capsys):
+    rc = cli_main(
+        ["compare", "--levels", "10", "--hours", "7,12", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    with open(tmp_path / "compare.csv") as fh:
+        cases = {(r["level"], r["hour"]) for r in csv.DictReader(fh)}
+    assert cases == {("0", "7"), ("0", "12"), ("10", "7"), ("10", "12")}
 
 
 def test_cli_gen_scenarios(tmp_path):
@@ -282,6 +375,20 @@ def test_cli_gen_scenarios(tmp_path):
     scen, _seed, mode = load_scenarios(files[0])
     assert len(scen) == 4
     assert mode == "incremental"
+
+
+def test_cli_gen_scenarios_match_run_draws(tmp_path):
+    rc = cli_main(
+        ["gen-scenarios", "--levels", "10,20", "--scenarios", "2", "--seed", "5",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    cfg = small_config(levels=(10, 20), n_scenarios=2, master_seed=5)
+    runner = _Runner(cfg)
+    for k, (_path, bus) in enumerate(cfg.feeders):
+        scen, seed, _mode = load_scenarios(tmp_path / f"scenarios_bus{bus}.json")
+        assert seed == feeder_seed(5, k)
+        assert scen == list(runner.scenarios[k].values())
 
 
 def test_cli_jobs_parallel_matches_serial(tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pvcosim import apply_scenario, generate, load_feeder, pcc_power, solve_feeder
+from pvcosim import apply_scenario, generate, load_feeder, solve_feeder
 from pvcosim.feeder import FeederDataError, FeederOps, FeederSolveError, scenario_loads
 from pvcosim.scenarios import GenerationProfile, PvScenario
 from pvcosim.sequences import phases_from_sequences
@@ -167,7 +167,7 @@ def test_reverse_flow_when_pv_exceeds_load():
     scen = PvScenario(0, 100, placements=(("end", "a", 5000.0),), seed=1)
     applied = apply_scenario(model, scen, 12, noon_profile())
     sol = solve_feeder(applied, BAL)
-    assert pcc_power(sol).sum().real < 0
+    assert sol.pcc_power_kw.sum().real < 0
 
 
 def test_energy_audit(desk13, profile):
