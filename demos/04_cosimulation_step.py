@@ -5,8 +5,6 @@ runs the fixed-point exchange at 40% PV penetration, and prints the
 boundary variables as they settle.
 """
 
-import numpy as np
-
 from pvcosim import (
     attach,
     boundary_error,

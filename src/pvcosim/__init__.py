@@ -41,7 +41,6 @@ from .driver import (  # noqa: E402
 from .feeder import (  # noqa: E402
     FeederModel,
     FeederSolution,
-    apply_scenario,
     load_feeder,
     load_feeder_file,
     solve_feeder,

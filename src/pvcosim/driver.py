@@ -279,12 +279,17 @@ class _Runner:
             wall_ms=wall_ms,
         )
         if cfg.mode == "both":
-            us = solve_unified(
-                self.net, self.attachments, hour, scen, profile=self.profile
-            )
-            rep = compare(result, us, self.attachments)
-            record.oracle_v1 = tuple(r["v_unified"] for r in rep["per_pcc"])
-            record.oracle_diff = float(rep["max_diff"])
+            # A failed oracle fails the case but keeps the co-simulation's results.
+            try:
+                us = solve_unified(
+                    self.net, self.attachments, hour, scen, profile=self.profile
+                )
+                rep = compare(result, us, self.attachments)
+            except Exception as exc:
+                record.error = _error_text(exc)
+            else:
+                record.oracle_v1 = tuple(r["v_unified"] for r in rep["per_pcc"])
+                record.oracle_diff = float(rep["max_diff"])
 
         trace_rows = []
         hist = result.boundary_history
@@ -309,6 +314,10 @@ def c_str(x: complex) -> str:
     return f"{x.real:.10g}{x.imag:+.10g}j"
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _safe_case(runner: _Runner, sid: int, level: int, hour: int):
     """Run one case under per-run isolation: failures become error records."""
     try:
@@ -327,7 +336,7 @@ def _safe_case(runner: _Runner, sid: int, level: int, hour: int):
             flow_signs={},
             fpi_iterations=0,
             wall_ms=0.0,
-            error=f"{type(exc).__name__}: {exc}",
+            error=_error_text(exc),
         )
         return rec, []
 
@@ -343,7 +352,8 @@ def run(config: RunConfig) -> ResultSet:
     runner = _Runner(config)
 
     # No-PV baseline per hour anchors reverse-flow detection. A failed
-    # baseline is recorded like any other failed run; reverse-flow flags
+    # baseline is recorded like any other failed run; when its
+    # co-simulation failed it has no flow signs, and reverse-flow flags
     # then fall back to "no reference, no flag".
     baseline: dict[int, RunRecord] = {}
     trace: list[dict] = []

@@ -6,12 +6,15 @@ Feeder files are JSON with ``nodes``, ``lines``, ``transformer``,
 works in volts and ohms; the source voltage at the PCC is given in
 per-unit of the feeder line-to-neutral base (the substation transformer
 ratio is nominal, so transmission per-unit maps one-to-one).
+
+A PV deployment never changes the model: ``scenario_loads`` folds it
+into a per-node load array that every solve takes as ``loads``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,7 +22,6 @@ import scipy.sparse as sp
 __all__ = [
     "FeederNode",
     "FeederLine",
-    "PvUnit",
     "SubstationTransformer",
     "FeederModel",
     "FeederSolution",
@@ -29,7 +31,6 @@ __all__ = [
     "load_feeder",
     "load_feeder_file",
     "solve_feeder",
-    "apply_scenario",
     "scenario_loads",
 ]
 
@@ -71,14 +72,6 @@ class FeederLine:
 
 
 @dataclass(frozen=True)
-class PvUnit:
-    node: str
-    phases: str
-    rating_kw: float
-    profile_id: str = "default"
-
-
-@dataclass(frozen=True)
 class SubstationTransformer:
     ratio: float  # nominal HV/LV voltage ratio
     z_pu: complex  # series impedance, system MVA base at feeder kv
@@ -91,7 +84,6 @@ class FeederModel:
     transformer: SubstationTransformer
     kv_base: float
     peak_kw: float
-    pv_units: tuple[PvUnit, ...] = ()
     mva_base: float = 100.0
 
     @property
@@ -194,10 +186,9 @@ def validate_feeder(model: FeederModel) -> None:
     if model.kv_base <= 0 or model.peak_kw <= 0:
         raise FeederDataError("kv_base and peak_kw must be positive")
 
-    ids = [n.id for n in model.nodes]
-    if len(set(ids)) != len(ids):
+    nodes = {n.id: n for n in model.nodes}
+    if len(nodes) != len(model.nodes):
         raise FeederDataError("duplicate node ids")
-    idset = set(ids)
 
     for n in model.nodes:
         if not n.phases or any(p not in PHASES for p in n.phases):
@@ -207,16 +198,17 @@ def validate_feeder(model: FeederModel) -> None:
                 raise FeederDataError(f"node {n.id}: load on absent phase {ph}")
 
     parents: dict[str, str] = {}
+    children: dict[str, list[str]] = {}
     for ln in model.lines:
-        if ln.from_node not in idset or ln.to_node not in idset:
+        if ln.from_node not in nodes or ln.to_node not in nodes:
             raise FeederDataError(f"line {ln.from_node}-{ln.to_node}: unknown node")
         if ln.to_node in parents:
             raise FeederDataError(f"node {ln.to_node} has two parents (cycle)")
         parents[ln.to_node] = ln.from_node
+        children.setdefault(ln.from_node, []).append(ln.to_node)
         z = ln.z_matrix()
-        child = model.node(ln.to_node)
-        parent_node = model.node(ln.from_node)
-        missing = set(child.phases) - set(parent_node.phases)
+        child = nodes[ln.to_node]
+        missing = set(child.phases) - set(nodes[ln.from_node].phases)
         if missing:
             raise FeederDataError(
                 f"line {ln.from_node}-{ln.to_node}: child phases {sorted(missing)} "
@@ -231,32 +223,21 @@ def validate_feeder(model: FeederModel) -> None:
                         f"line {ln.from_node}-{ln.to_node}: impedance on absent phase"
                     )
 
-    roots = [i for i in ids if i not in parents]
+    roots = [i for i in nodes if i not in parents]
     if len(roots) != 1:
         raise FeederDataError(f"feeder must have exactly one root, found {roots}")
 
-    # Walk up from every node; a repeated visit is a cycle, a dead end a
-    # disconnected island.
-    root = roots[0]
-    for nid in ids:
-        seen = set()
-        cur = nid
-        while cur != root:
-            if cur in seen:
-                raise FeederDataError(f"cycle detected at node {cur}")
-            seen.add(cur)
-            if cur not in parents:
-                raise FeederDataError(f"node {cur} disconnected from substation")
-            cur = parents[cur]
-
-    for pv in model.pv_units:
-        if pv.node not in idset:
-            raise FeederDataError(f"pv unit references unknown node {pv.node}")
-        if pv.rating_kw <= 0:
-            raise FeederDataError(f"pv unit at {pv.node}: rating must be positive")
-        for ph in pv.phases:
-            if ph not in model.node(pv.node).phases:
-                raise FeederDataError(f"pv unit at {pv.node}: injection on absent phase {ph}")
+    # One root and one parent for every other node: a walk down from the
+    # root reaches every node except those on a cycle.
+    reached = set()
+    stack = [roots[0]]
+    while stack:
+        nid = stack.pop()
+        reached.add(nid)
+        stack.extend(children.get(nid, ()))
+    for nid in nodes:
+        if nid not in reached:
+            raise FeederDataError(f"cycle detected at node {nid}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +295,9 @@ class FeederOps:
 def scenario_loads(ops: FeederOps, scenario, hour: int, profile) -> np.ndarray:
     """Per-node loads (kW + j kvar) of the feeder with a PV deployment folded in.
 
-    Each placement injects ``rating * profile(hour)`` kW at unity power
+    This is the package's one scenario application: the co-simulation
+    and the unified solve both read a scenario's loads from here. Each
+    placement injects ``rating * profile(hour)`` kW at unity power
     factor, split equally across the unit's phases, as negative load.
     """
     factor = profile.value(hour)
@@ -330,32 +313,6 @@ def scenario_loads(ops: FeederOps, scenario, hour: int, profile) -> np.ndarray:
         for ph in phases:
             loads[i, PHASES.index(ph)] -= share
     return loads
-
-
-def apply_scenario(feeder: FeederModel, scenario, hour: int, profile) -> FeederModel:
-    """The feeder with a PV deployment folded into its node loads.
-
-    The returned model carries the placements in ``pv_units`` for
-    traceability; their effect is already in the node loads (see
-    ``scenario_loads``).
-    """
-    loads = scenario_loads(FeederOps(feeder), scenario, hour, profile)
-    nodes = tuple(
-        replace(
-            node,
-            loads={
-                ph: complex(loads[i, k])
-                for k, ph in enumerate(PHASES)
-                if ph in node.loads or loads[i, k] != 0
-            },
-        )
-        for i, node in enumerate(feeder.nodes)
-    )
-    units = tuple(
-        PvUnit(node=node_id, phases=phases, rating_kw=rating_kw, profile_id=profile.name)
-        for node_id, phases, rating_kw in scenario.placements
-    )
-    return replace(feeder, nodes=nodes, pv_units=units)
 
 
 # ---------------------------------------------------------------------------

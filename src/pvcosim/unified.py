@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
-from .coupler import CoSimResult, effective_network
-from .feeder import PHASES, FeederModel, apply_scenario
-from .network import TransmissionNetwork, build_sequence_admittance
+from .coupler import CoSimResult, _feeder_loads, effective_network
+from .network import TransmissionNetwork
 from .sequences import A_ANA, A_SYN
-from .transmission import PowerFlowError, _LinearSequenceSolver
+from .transmission import PowerFlowError
 
 __all__ = ["UnifiedSolution", "UnifiedSolveError", "solve_unified", "compare", "AGREEMENT_PU"]
 
@@ -54,50 +54,51 @@ def _seq_block_to_phase(block: np.ndarray) -> np.ndarray:
 
 
 class _CombinedModel:
-    """Phase-frame admittance and injection bookkeeping for one snapshot."""
+    """Phase-frame admittance and injection bookkeeping for one snapshot.
 
-    def __init__(self, net: TransmissionNetwork, attachments, feeders: list[FeederModel]):
-        self.net = net
-        self.attachments = list(attachments)
-        self.feeders = feeders
+    Transmission bus ``i`` owns slots ``3i..3i+2``. Each attachment's
+    present (node, phase) pairs follow, in node order, and ``slots[a]``
+    maps them as an ``(n, 3)`` table with -1 on absent phases.
+    ``feeder_loads`` holds one ``(n, 3)`` kW + j kvar array per attachment.
+    """
 
-        # --- global unknown numbering -----------------------------------
-        self.bus_slot: dict[int, int] = {}
-        slot = 0
-        for b in net.buses:
-            self.bus_slot[b.id] = slot
-            slot += 3
-        self.feeder_slot: list[dict[str, dict[str, int]]] = []
-        for f in feeders:
-            nodemap: dict[str, dict[str, int]] = {}
-            for node in f.nodes:
-                phmap = {}
-                for ph in node.phases:
-                    phmap[ph] = slot
-                    slot += 1
-                nodemap[node.id] = phmap
-            self.feeder_slot.append(nodemap)
-        self.size = slot
+    def __init__(self, net: TransmissionNetwork, attachments, feeder_loads):
+        nb = len(net.buses)
+        pos = net.bus_index()
+        size = 3 * nb
+        self.slots: list[np.ndarray] = []
+        for att in attachments:
+            table = np.full(att.ops.mask.shape, -1, dtype=int)
+            table[att.ops.mask] = size + np.arange(att.ops.mask.sum())
+            size += int(att.ops.mask.sum())
+            self.slots.append(table)
+        self.size = size
+        pcc_pos = np.array([pos[a.bus] for a in attachments], dtype=int)
+        self.pcc_slots = 3 * pcc_pos[:, None] + np.arange(3)
+        self.root_slots = np.array(
+            [t[a.ops.root] for a, t in zip(attachments, self.slots)], dtype=int
+        ).reshape(-1, 3)
+        self.ytr: list[complex] = []
 
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[complex] = []
+        rows: list[np.ndarray] = []
+        cols: list[np.ndarray] = []
+        vals: list[np.ndarray] = []
 
-        def add(r: int, c: int, v: complex):
-            if v != 0:
-                rows.append(r)
-                cols.append(c)
-                vals.append(v)
+        def put(r, c, v):
+            rows.append(np.ravel(r))
+            cols.append(np.ravel(c))
+            vals.append(np.ravel(v))
 
-        def add_block(rbase: list[int], cbase: list[int], mat: np.ndarray):
-            for i, r in enumerate(rbase):
-                for j, c in enumerate(cbase):
-                    add(r, c, mat[i, j])
+        def stamp(r, c, block: np.ndarray):
+            put(np.repeat(r, len(c)), np.tile(c, len(r)), block)
 
-        # --- transmission branches ---------------------------------------
+        def phases_of(i: int) -> np.ndarray:
+            return 3 * i + np.arange(3)
+
+        # --- transmission branches and shunts ----------------------------
+        y0 = np.zeros((nb, nb), dtype=complex)  # the zero-sequence network stamped here
         for br in net.branches:
-            fr = [self.bus_slot[br.from_bus] + k for k in range(3)]
-            to = [self.bus_slot[br.to_bus] + k for k in range(3)]
+            f, t = pos[br.from_bus], pos[br.to_bus]
             yser = (
                 np.linalg.inv(br.series_impedance_matrix())
                 if br.coupling
@@ -113,110 +114,105 @@ class _CombinedModel:
                     blk[0, :] = 0
                     blk[:, 0] = 0
                 ytt[0, 0] = 1.0 / br.z0
-            add_block(fr, fr, _seq_block_to_phase(yff))
-            add_block(fr, to, _seq_block_to_phase(yft))
-            add_block(to, fr, _seq_block_to_phase(ytf))
-            add_block(to, to, _seq_block_to_phase(ytt))
+            for (a, b), blk in zip(((f, f), (f, t), (t, f), (t, t)), (yff, yft, ytf, ytt)):
+                stamp(phases_of(a), phases_of(b), _seq_block_to_phase(blk))
+                y0[a, b] += blk[0, 0]
 
-        for b in net.buses:
-            ysh = complex(b.shunt_g, b.shunt_b)
-            if ysh != 0:
-                base = self.bus_slot[b.id]
-                for k in range(3):
-                    add(base + k, base + k, ysh)
+        ysh = np.array([complex(b.shunt_g, b.shunt_b) for b in net.buses])
+        put(np.arange(3 * nb), np.arange(3 * nb), np.repeat(ysh, 3))
+        y0[np.diag_indices(nb)] += ysh
 
         # Buses isolated in the zero-sequence network (behind zero_seq_open
         # transformers) leave a floating mode in the phase frame. Pin their
-        # zero-sequence potential to ground exactly as the sequence-domain
-        # solver does; no current flows through the leg, so the physics is
-        # unchanged.
-        slack_pos = [i for i, b in enumerate(net.buses) if b.kind == "slack"][0]
-        lin0 = _LinearSequenceSolver(build_sequence_admittance(net)[0], slack_pos)
+        # zero-sequence potential to ground: a component of the network
+        # without the slack floats unless a member has a path to ground
+        # (a nonzero row sum) or couples to the slack. No current flows
+        # through the leg, so the physics is unchanged.
+        slack_pos = next(i for i, b in enumerate(net.buses) if b.kind == "slack")
+        keep = np.delete(np.arange(nb), slack_pos)
+        scale = np.maximum(1.0, np.abs(y0).max(axis=1))
+        anchored = (np.abs(y0.sum(axis=1)) > 1e-8 * scale) | (np.abs(y0[:, slack_pos]) > 0)
+        _, labels = connected_components(y0[np.ix_(keep, keep)] != 0, directed=False)
+        floating = np.bincount(labels, weights=anchored[keep])[labels] == 0
+        self.pinned = keep[floating]  # bus positions
         zero_ground = _seq_block_to_phase(np.diag([1.0, 0.0, 0.0]).astype(complex))
-        for local in lin0.pinned_local:
-            bus_pos = int(lin0.keep[local])
-            base = self.bus_slot[net.buses[bus_pos].id]
-            add_block(
-                [base, base + 1, base + 2], [base, base + 1, base + 2], zero_ground
-            )
+        for i in self.pinned:
+            stamp(phases_of(i), phases_of(i), zero_ground)
 
         # --- substation transformers and feeder lines --------------------
-        for a_idx, (att, f) in enumerate(zip(self.attachments, feeders)):
-            if att.feeder.transformer.z_pu == 0:
+        for att, table, pcc, root in zip(attachments, self.slots, self.pcc_slots, self.root_slots):
+            f = att.feeder
+            if f.transformer.z_pu == 0:
                 raise UnifiedSolveError(
                     f"attachment at bus {att.bus}: unified solve needs a nonzero "
                     "substation transformer impedance"
                 )
-            ytr = 1.0 / att.feeder.transformer.z_pu
-            root_map = self.feeder_slot[a_idx][f.root]
-            pcc = self.bus_slot[att.bus]
-            for ph in PHASES:  # feeder root is three-phase
-                r = root_map[ph]
-                p = pcc + PHASES.index(ph)
-                add(p, p, ytr)
-                add(r, r, ytr)
-                add(p, r, -ytr)
-                add(r, p, -ytr)
+            if np.any(root < 0):
+                raise UnifiedSolveError(
+                    f"attachment at bus {att.bus}: the feeder root must carry all three phases"
+                )
+            ytr = 1.0 / f.transformer.z_pu
+            self.ytr.append(ytr)
+            put(
+                np.column_stack([pcc, root, pcc, root]),
+                np.column_stack([pcc, root, root, pcc]),
+                np.tile([ytr, ytr, -ytr, -ytr], (3, 1)),
+            )
 
-            zb = f.z_base
             for ln in f.lines:
-                child = f.node(ln.to_node)
-                ph_idx = [PHASES.index(p) for p in child.phases]
-                zsub = ln.z_matrix()[np.ix_(ph_idx, ph_idx)] / zb
+                child = att.ops.index[ln.to_node]
+                ph = np.flatnonzero(att.ops.mask[child])
+                zsub = ln.z_matrix()[np.ix_(ph, ph)] / f.z_base
                 try:
                     ysub = np.linalg.inv(zsub)
                 except np.linalg.LinAlgError as exc:
                     raise UnifiedSolveError(
                         f"line {ln.from_node}-{ln.to_node}: singular impedance matrix"
                     ) from exc
-                fmap = self.feeder_slot[a_idx][ln.from_node]
-                tmap = self.feeder_slot[a_idx][ln.to_node]
-                fr = [fmap[p] for p in child.phases]
-                to = [tmap[p] for p in child.phases]
-                add_block(fr, fr, ysub)
-                add_block(to, to, ysub)
-                add_block(fr, to, -ysub)
-                add_block(to, fr, -ysub)
+                fr = table[att.ops.index[ln.from_node], ph]
+                to = table[child, ph]
+                stamp(fr, fr, ysub)
+                stamp(to, to, ysub)
+                stamp(fr, to, -ysub)
+                stamp(to, fr, -ysub)
 
+        r, c, v = (np.concatenate(x) for x in (rows, cols, vals))
+        nz = v != 0
         self.y = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.size, self.size), dtype=complex
+            (v[nz], (r[nz], c[nz])), shape=(self.size, self.size), dtype=complex
         ).tocsc()
 
-        # --- constant-power loads (slot, s_phase pu) ----------------------
-        self.loads: list[tuple[int, complex]] = []
-        for b in net.buses:
-            s_total = complex(b.load_p, b.load_q)
-            if s_total != 0:
-                for k in range(3):
-                    self.loads.append((self.bus_slot[b.id] + k, s_total / 3.0))
-        for a_idx, (att, f) in enumerate(zip(self.attachments, feeders)):
-            for node in f.nodes:
-                for ph, s_kw in node.loads.items():
-                    s_pu = s_kw / (1e3 * att.mva_base)
-                    if s_pu != 0:
-                        self.loads.append((self.feeder_slot[a_idx][node.id][ph], s_pu))
+        # --- constant-power loads (slot, per-phase s in pu) ---------------
+        load_slot = [np.arange(3 * nb)]
+        load_s = [np.repeat([complex(b.load_p, b.load_q) / 3.0 for b in net.buses], 3)]
+        for att, table, kw in zip(attachments, self.slots, feeder_loads):
+            base = 1e3 * att.mva_base
+            # Split by parts: numpy's complex / real rounds unlike Python's complex / float.
+            load_s.append((kw.real / base + 1j * (kw.imag / base))[table >= 0])
+            load_slot.append(table[table >= 0])
+        self.load_slot, self.load_s = np.concatenate(load_slot), np.concatenate(load_s)
+        nz = self.load_s != 0
+        self.load_slot, self.load_s = self.load_slot[nz], self.load_s[nz]
 
         # --- generators ----------------------------------------------------
-        slack = self.net.slack_bus
-        self.slack_slots = [self.bus_slot[slack.id] + k for k in range(3)]
+        slack = net.buses[slack_pos]
+        self.slack_slots = phases_of(slack_pos)
         vset = slack.v_setpoint
         if vset is None:
             g = net.generator_at(slack.id)
             vset = g[2] if g else 1.0
         self.slack_v = vset * A_SYN[:, 1]
 
-        self.pv_buses: list[tuple[int, float, float]] = []  # (bus, p_set, v_set)
-        for gbus, p_set, v_set in net.generators:
-            bus = next(b for b in net.buses if b.id == gbus)
-            if bus.kind == "pv":
-                self.pv_buses.append((gbus, p_set, v_set))
+        # (first slot, p_set, v_set) of each non-slack generator bus
+        self.pv_buses = [
+            (3 * pos[gbus], p_set, v_set)
+            for gbus, p_set, v_set in net.generators
+            if net.buses[pos[gbus]].kind == "pv"
+        ]
 
-        self.unknown = np.array(
-            [i for i in range(self.size) if i not in set(self.slack_slots)], dtype=int
-        )
-        self.pos_of = {g: i for i, g in enumerate(self.unknown)}
+        self.unknown = np.delete(np.arange(self.size), self.slack_slots)
         yuu = self.y[np.ix_(self.unknown, self.unknown)].tocsc()
-        self.y_us = self.y[np.ix_(self.unknown, np.array(self.slack_slots))].tocsc()
+        self.y_us = self.y[np.ix_(self.unknown, self.slack_slots)].tocsc()
         try:
             self.lu = spla.splu(yuu)
         except RuntimeError as exc:
@@ -225,18 +221,12 @@ class _CombinedModel:
     def injections(self, v: np.ndarray, q_pv: np.ndarray) -> np.ndarray:
         """Nodal phase-current injections at the current voltage estimate."""
         inj = np.zeros(self.size, dtype=complex)
-        for slot, s_ph in self.loads:
-            inj[slot] -= np.conj(3.0 * s_ph / v[slot])
-        for k, (gbus, p_set, _v_set) in enumerate(self.pv_buses):
-            base = self.bus_slot[gbus]
+        inj[self.load_slot] -= np.conj(3.0 * self.load_s / v[self.load_slot])
+        for k, (base, p_set, _v_set) in enumerate(self.pv_buses):
             v1 = (A_ANA @ v[base : base + 3])[1]
             i1 = np.conj(complex(p_set, q_pv[k]) / v1)
             inj[base : base + 3] += i1 * A_SYN[:, 1]
         return inj
-
-    def v1_at(self, v: np.ndarray, bus_id: int) -> complex:
-        base = self.bus_slot[bus_id]
-        return (A_ANA @ v[base : base + 3])[1]
 
 
 def solve_unified(
@@ -251,32 +241,22 @@ def solve_unified(
     pv_tol: float = 1e-8,
     max_outer: int = 40,
 ) -> UnifiedSolution:
-    """Solve transmission plus all attached feeders as one phase-frame model."""
-    attachments = list(attachments)
-    if scenarios is None:
-        scenarios = [None] * len(attachments)
-    feeders = []
-    for att, scen in zip(attachments, scenarios):
-        if scen is None:
-            feeders.append(att.feeder)
-        else:
-            if profile is None:
-                raise ValueError("a generation profile is required to apply scenarios")
-            feeders.append(apply_scenario(att.feeder, scen, hour, profile))
+    """Solve transmission plus all attached feeders as one phase-frame model.
 
-    net_eff = effective_network(net, attachments)
-    model = _CombinedModel(net_eff, attachments, feeders)
+    Feeder loads come from the co-simulation's own scenario application,
+    so both models see the same PV deployment.
+    """
+    attachments = list(attachments)
+    loads = _feeder_loads(attachments, scenarios, hour, profile)
+    model = _CombinedModel(effective_network(net, attachments), attachments, loads)
 
     # Flat start aligned with each slot's phase angle.
     v = np.zeros(model.size, dtype=complex)
-    for bus_id, base in model.bus_slot.items():
-        v[base : base + 3] = A_SYN[:, 1]
-    for a_idx, f in enumerate(feeders):
-        for node in f.nodes:
-            for ph, slot in model.feeder_slot[a_idx][node.id].items():
-                v[slot] = A_SYN[PHASES.index(ph), 1]
-    for slot, vs in zip(model.slack_slots, model.slack_v):
-        v[slot] = vs
+    v[: 3 * len(net.buses)] = np.tile(A_SYN[:, 1], len(net.buses))
+    for table in model.slots:
+        present = table >= 0
+        v[table[present]] = np.broadcast_to(A_SYN[:, 1], table.shape)[present]
+    v[model.slack_slots] = model.slack_v
 
     n_pv = len(model.pv_buses)
     q = np.zeros(n_pv)
@@ -300,7 +280,7 @@ def solve_unified(
 
     def deviation(vv: np.ndarray) -> np.ndarray:
         return np.array(
-            [abs(model.v1_at(vv, gbus)) - v_set for gbus, _p, v_set in model.pv_buses]
+            [abs((A_ANA @ vv[base : base + 3])[1]) - v_set for base, _p, v_set in model.pv_buses]
         )
 
     v, res, it, ok = inner_solve(v, q)
@@ -348,22 +328,11 @@ def solve_unified(
             dev = deviation(v)
 
     # --- extract PCC quantities -----------------------------------------
-    n_att = len(attachments)
-    pcc_v = np.zeros((n_att, 3), dtype=complex)
-    pcc_s = np.zeros((n_att, 3), dtype=complex)
-    for a_idx, (att, f) in enumerate(zip(attachments, feeders)):
-        base = model.bus_slot[att.bus]
-        vp = v[base : base + 3]
-        root_map = model.feeder_slot[a_idx][f.root]
-        vroot = np.array([v[root_map[p]] for p in PHASES])
-        ytr = 1.0 / att.feeder.transformer.z_pu
-        i_ph = ytr * (vp - vroot)
-        pcc_v[a_idx] = vp
-        pcc_s[a_idx] = vp * np.conj(i_ph) / 3.0
+    pcc_v = v[model.pcc_slots]
+    i_ph = np.array(model.ytr).reshape(-1, 1) * (pcc_v - v[model.root_slots])
+    pcc_s = pcc_v * np.conj(i_ph) / 3.0
 
-    bus_voltages = {
-        b.id: v[model.bus_slot[b.id] : model.bus_slot[b.id] + 3].copy() for b in net.buses
-    }
+    bus_voltages = {b.id: v[3 * i : 3 * i + 3].copy() for i, b in enumerate(net.buses)}
     i_slack = np.array((model.y @ v)[model.slack_slots]) - np.array(
         model.injections(v, q)[model.slack_slots]
     )

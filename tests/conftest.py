@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from pvcosim import data_path, load_feeder_file, load_network_file, load_profile_file
+from pvcosim import (
+    data_path,
+    load_feeder_file,
+    load_network,
+    load_network_file,
+    load_profile_file,
+)
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +26,26 @@ def desk13():
 @pytest.fixture(scope="session")
 def profile():
     return load_profile_file(data_path("pv_profile.json"))
+
+
+def island_variants():
+    """ieee9 as bundled, then without ``zero_seq_open`` ("grounded"), then
+    also without line charging and shunts ("series_only").
+
+    In "series_only" every row sum vanishes, so only the coupling to the
+    slack grounds a component.
+    """
+    doc = json.loads(data_path("ieee9.json").read_text())
+    nets = {"ieee9": load_network(json.dumps(doc))}
+    for br in doc["branches"]:
+        br.pop("zero_seq_open", None)
+    nets["grounded"] = load_network(json.dumps(doc))
+    for br in doc["branches"]:
+        br["b1"] = br["b0"] = 0.0
+    for bus in doc["buses"]:
+        bus["shunt_g"] = bus["shunt_b"] = 0.0
+    nets["series_only"] = load_network(json.dumps(doc))
+    return nets
 
 
 def two_bus_case(load_p=1.0, load_q=0.5, r=0.01, x=0.1):

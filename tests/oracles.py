@@ -4,11 +4,13 @@ Everything here is deliberately naive and shares no code with the
 package: Gauss-Seidel for the positive-sequence power flow, dense
 phase-frame fixed-point nodal solves, closed-form two-bus voltage,
 element-by-element admittance assembly, per-sequence branch flows,
-union-find sequence-network islands, and the feeder sweep as a
-node-by-node tree walk.
+union-find sequence-network islands, the feeder sweep as a
+node-by-node tree walk, and PV scenarios written into node loads.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -335,3 +337,18 @@ def tree_walk_sweep(model, source_v_pu, tol=1e-7, max_iter=60):
             }
             return v, currents, i_line[root].copy(), it
     raise RuntimeError("tree-walk sweep did not converge")
+
+
+def fold_scenario(model, scenario, hour, profile):
+    """The feeder with a PV deployment written into its node loads.
+
+    Each unit makes its rating times the profile factor of the hour in
+    kW at unity power factor, split equally over the unit's phases, and
+    enters as negative load.
+    """
+    factor = profile.factors[hour]
+    loads = {node.id: dict(node.loads) for node in model.nodes}
+    for node_id, phases, rating_kw in scenario.placements:
+        for ph in phases:
+            loads[node_id][ph] = loads[node_id].get(ph, 0j) - rating_kw * factor / len(phases)
+    return replace(model, nodes=tuple(replace(n, loads=loads[n.id]) for n in model.nodes))

@@ -18,13 +18,11 @@ from pvcosim import (
     solve_positive_nr,
     solve_three_sequence,
     solve_unified,
-    unbalance_factor,
     verify_fixed_point,
 )
 from pvcosim.coupler import CoSimOptions
-from pvcosim.driver import RunConfig, detect_reverse_flow, emit, run
+from pvcosim.driver import RunConfig, emit, run
 from pvcosim.sequences import phase_to_sequence, phases_from_sequences, sequence_to_phase
-from pvcosim.transmission import SolverOptions
 
 LEVELS = tuple(range(10, 101, 10))
 

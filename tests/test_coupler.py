@@ -21,7 +21,6 @@ from pvcosim.coupler import (
     CosimNonConvergenceError,
     effective_network,
 )
-from pvcosim.scenarios import PvScenario
 from pvcosim.sequences import A_ANA, phases_from_sequences
 from pvcosim.transmission import SequenceOps, SolverOptions
 

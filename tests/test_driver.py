@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from pvcosim.driver import (
 )
 from pvcosim.scenarios import feeder_seed, load_scenarios
 
-from .conftest import small_feeder
+from .conftest import constant_load_feeder, small_feeder
 
 COMPARE_HEADER = "scenario,level,hour,bus,v_cosim,v_unified,diff"
 
@@ -333,6 +332,29 @@ def test_cli_validate_feeder_without_customers(tmp_path, capsys):
     assert rc == 0
     assert "0 customers" in out
     assert "PASS" in out
+
+
+def test_both_mode_keeps_cosim_when_oracle_fails(tmp_path):
+    # A zero substation impedance suits the sweep; the unified solve rejects it.
+    (tmp_path / "feeder.json").write_text(constant_load_feeder(1e4, 2e3))
+
+    def sweep(mode):
+        cfg = one_feeder_config(tmp_path, "feeder.json", levels=[10], mode=mode)
+        return run(RunConfig.from_file(cfg))
+
+    def without_wall(rows):
+        return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+    cosim, both = sweep("cosim"), sweep("both")
+    assert len(both.records) == 1
+    for ref, rec in ((cosim.baseline[12], both.baseline[12]), (cosim.records[0], both.records[0])):
+        assert ref.error is None
+        assert rec.error.startswith("UnifiedSolveError: ")
+        assert rec.oracle_v1 is None and rec.oracle_diff is None
+        assert rec.v_phase.tobytes() == ref.v_phase.tobytes()
+        assert rec.s_phase.tobytes() == ref.s_phase.tobytes()
+        assert rec.fpi_iterations == ref.fpi_iterations
+    assert without_wall(both.trace) == without_wall(cosim.trace) != []
 
 
 def test_cli_compare(tmp_path, capsys):

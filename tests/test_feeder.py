@@ -3,13 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from pvcosim import apply_scenario, generate, load_feeder, solve_feeder
+from pvcosim import generate, load_feeder, solve_feeder
 from pvcosim.feeder import FeederDataError, FeederOps, FeederSolveError, scenario_loads
 from pvcosim.scenarios import GenerationProfile, PvScenario
 from pvcosim.sequences import phases_from_sequences
 
 from .conftest import constant_load_feeder, small_feeder
-from .oracles import feeder_nodal_solve, tree_walk_sweep, two_bus_constant_power
+from .oracles import (
+    feeder_nodal_solve,
+    fold_scenario,
+    tree_walk_sweep,
+    two_bus_constant_power,
+)
 
 BAL = phases_from_sequences(0.0, 1.0, 0.0)
 
@@ -45,6 +50,15 @@ def test_cycle_rejected():
         }
     )
     with pytest.raises(FeederDataError):
+        load_feeder(json.dumps(doc))
+
+
+def test_detached_cycle_rejected():
+    doc = json.loads(small_feeder())
+    doc["nodes"] += [{"id": "x", "phases": "abc"}, {"id": "y", "phases": "abc"}]
+    zero = [[[0, 0]] * 3 for _ in range(3)]
+    doc["lines"] += [{"from": "x", "to": "y", "z_abc": zero}, {"from": "y", "to": "x", "z_abc": zero}]
+    with pytest.raises(FeederDataError, match="cycle"):
         load_feeder(json.dumps(doc))
 
 
@@ -140,7 +154,7 @@ def test_sweep_matches_tree_walk_reference(desk13, profile, level, source_v):
     model, loads = desk13, None
     if level is not None:
         scen = generate(desk13, [level], 1, master_seed=5)[0]
-        model = apply_scenario(desk13, scen, 12, profile)
+        model = fold_scenario(desk13, scen, 12, profile)
         loads = scenario_loads(ops, scen, 12, profile)
     sol = solve_feeder(ops, source_v, loads=loads)
     v_ref, currents_ref, head_ref, iterations_ref = tree_walk_sweep(model, source_v)
@@ -165,8 +179,8 @@ def test_pcc_power_zero_load():
 def test_reverse_flow_when_pv_exceeds_load():
     model = load_feeder(small_feeder(load_kw=1000.0, load_kvar=300.0))
     scen = PvScenario(0, 100, placements=(("end", "a", 5000.0),), seed=1)
-    applied = apply_scenario(model, scen, 12, noon_profile())
-    sol = solve_feeder(applied, BAL)
+    ops = FeederOps(model)
+    sol = solve_feeder(ops, BAL, loads=scenario_loads(ops, scen, 12, noon_profile()))
     assert sol.pcc_power_kw.sum().real < 0
 
 
@@ -174,22 +188,23 @@ def test_energy_audit(desk13, profile):
     scen = PvScenario(0, 50, placements=tuple(
         (n.id, "".join(sorted(n.loads)), 2000.0) for n in desk13.customers()[:5]
     ), seed=1)
-    applied = apply_scenario(desk13, scen, 12, profile)
-    sol = solve_feeder(applied, BAL, tol=1e-10)
+    ops = FeederOps(desk13)
+    loads = scenario_loads(ops, scen, 12, profile)
+    sol = solve_feeder(ops, BAL, tol=1e-10, loads=loads)
 
-    net_load = sum(n.load_vector().sum() for n in applied.nodes) * 1e3
+    net_load = loads.sum() * 1e3
     loss = 0j
-    for ln in applied.lines:
+    for ln in desk13.lines:
         i = sol.line_currents[(ln.from_node, ln.to_node)]
         vf = sol.voltage(ln.from_node)
         vt = sol.voltage(ln.to_node)
         loss += ((vf - vt) * np.conj(i)).sum()
-    src = BAL * applied.v_ln_base
-    vroot = sol.voltage(applied.root)
+    src = BAL * desk13.v_ln_base
+    vroot = sol.voltage(desk13.root)
     loss += ((src - vroot) * np.conj(sol.head_current)).sum()
 
     audit = sol.pcc_power_kw.sum() * 1e3 - net_load - loss
-    s_base = applied.mva_base * 1e6
+    s_base = desk13.mva_base * 1e6
     assert abs(audit) / s_base < 1e-6
 
 
@@ -234,12 +249,11 @@ def test_voltage_drop_consistency(desk13):
 
 
 def test_monotone_pv_response(desk13):
+    ops = FeederOps(desk13)
     prev = np.inf
     for rating in (0.0, 1000.0, 2000.0, 4000.0):
-        scen = PvScenario(0, 10, placements=(("671", "abc", rating),), seed=1) \
-            if rating else None
-        model = apply_scenario(desk13, scen, 12, noon_profile()) if scen else desk13
-        sol = solve_feeder(model, BAL)
+        scen = PvScenario(0, 10, placements=(("671", "abc", rating),), seed=1)
+        sol = solve_feeder(ops, BAL, loads=scenario_loads(ops, scen, 12, noon_profile()))
         p = sol.pcc_power_kw.sum().real
         assert p <= prev + 1e-9
         prev = p
@@ -252,38 +266,28 @@ def test_determinism(desk13):
     assert np.array_equal(a.pcc_power_kw, b.pcc_power_kw)
 
 
-def test_apply_scenario_night_is_identity(desk13, profile):
+def test_scenario_loads_night_is_identity(desk13, profile):
+    ops = FeederOps(desk13)
     scen = PvScenario(0, 10, placements=(("671", "abc", 1000.0),), seed=1)
-    applied = apply_scenario(desk13, scen, 2, profile)
-    for before, after in zip(desk13.nodes, applied.nodes):
-        assert before.loads == after.loads
+    assert scenario_loads(ops, scen, 2, profile).tobytes() == ops.loads.tobytes()
 
 
-def test_apply_scenario_scales_linearly(desk13):
+def test_scenario_loads_scales_linearly(desk13):
+    ops = FeederOps(desk13)
     scen = PvScenario(0, 10, placements=(("671", "a", 100.0),), seed=1)
-    applied = apply_scenario(desk13, scen, 10, noon_profile())  # factor 0.5
-    before = desk13.node("671").loads["a"]
-    after = applied.node("671").loads["a"]
-    assert before - after == pytest.approx(50.0)
+    loads = scenario_loads(ops, scen, 10, noon_profile())  # factor 0.5
+    i = ops.index["671"]
+    assert ops.loads[i, 0] - loads[i, 0] == pytest.approx(50.0)
 
 
-def test_apply_scenario_total_injection(desk13, profile):
+def test_scenario_loads_total_injection(desk13, profile):
+    ops = FeederOps(desk13)
     placements = tuple(
         (n.id, "".join(sorted(n.loads)), 1500.0) for n in desk13.customers()
     )
     scen = PvScenario(0, 100, placements=placements, seed=1)
-    applied = apply_scenario(desk13, scen, 12, profile)
-    delta = sum(
-        (b.load_vector().sum() - a.load_vector().sum()).real
-        for b, a in zip(desk13.nodes, applied.nodes)
-    )
+    delta = (ops.loads.sum() - scenario_loads(ops, scen, 12, profile).sum()).real
     assert delta == pytest.approx(1500.0 * len(placements))
-
-
-def test_apply_scenario_unknown_node(desk13, profile):
-    scen = PvScenario(0, 10, placements=(("nowhere", "a", 100.0),), seed=1)
-    with pytest.raises(FeederDataError, match="unknown node"):
-        apply_scenario(desk13, scen, 12, profile)
 
 
 def test_voltage_collapse_aborts():
@@ -311,7 +315,7 @@ def test_non_convergence_reports_change(desk13):
 def test_scenario_loads_match_applied_model(desk13, profile, hour, placements):
     scen = PvScenario(0, 10, placements=placements, seed=1)
     loads = scenario_loads(FeederOps(desk13), scen, hour, profile)
-    expected = FeederOps(apply_scenario(desk13, scen, hour, profile)).loads
+    expected = FeederOps(fold_scenario(desk13, scen, hour, profile)).loads
     assert loads.dtype == expected.dtype and loads.shape == expected.shape
     assert loads.tobytes() == expected.tobytes()
 

@@ -5,8 +5,19 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pvcosim"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pvcosim"
+SOURCES = [
+    p
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "demos")
+    for p in sorted(folder.glob("*.py"))
+    if p.name != "__init__.py"
+]
+
+
+def source_id(path: Path) -> str:
+    """Package modules by file name, tests and demos by their path in the repo."""
+    return path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +52,30 @@ def test_checker_flags_unused_and_keeps_used():
     assert unused_imports(source) == ["line 2: json", "line 4: path"]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("module", SOURCES, ids=source_id)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_oracle_shares_no_solver_code():
+    """The unified solve checks the co-simulation, so it must not reuse its solvers."""
+    tree = ast.parse((PACKAGE / "unified.py").read_text(encoding="utf-8"))
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                module = node.module or alias.name
+                imported.setdefault(module, set()).add(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pvcosim"):
+            module = node.module.removeprefix("pvcosim").lstrip(".")
+            imported.setdefault(module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("pvcosim."):
+                    imported.setdefault(alias.name.split(".")[1], set()).add("*")
+    assert imported.get("transmission", set()) <= {"PowerFlowError"}
+    assert imported.get("network", set()) <= {"TransmissionNetwork"}
+    assert "feeder" not in imported
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert names.isdisjoint({"bibc", "bibc_t", "solve_feeder", "admittance_blocks"})

@@ -13,7 +13,7 @@ from pvcosim import (
     solve_three_sequence,
 )
 from pvcosim.network import Branch, Bus, TransmissionNetwork
-from pvcosim.sequences import SequenceSet, phases_from_sequences, sequences_from_phases
+from pvcosim.sequences import SequenceSet
 from pvcosim.transmission import (
     NrNonConvergenceError,
     OuterNonConvergenceError,
@@ -23,10 +23,9 @@ from pvcosim.transmission import (
     SolverOptions,
     _LinearSequenceSolver,
     branch_flows,
-    slack_power,
 )
 
-from .conftest import two_bus_case
+from .conftest import island_variants, two_bus_case
 from .oracles import gauss_seidel, naive_branch_flows, phase_frame_two_bus, union_find_islands
 
 # Receiving-end voltage of the standard two-bus fixture, computed once
@@ -186,22 +185,9 @@ def test_linear_solve_floating_island_reports_buses():
     assert np.max(np.abs(v)) == 0
 
 
-def test_island_partition_matches_union_find(ieee9):
-    doc = json.loads((__import__("pvcosim").data_path("ieee9.json")).read_text())
-    for br in doc["branches"]:
-        br.pop("zero_seq_open", None)
-    grounded = load_network(json.dumps(doc))
-    # Without line charging and shunts every row sum vanishes, so only the
-    # coupling to the slack grounds a component.
-    for br in doc["branches"]:
-        br["b1"] = br["b0"] = 0.0
-    for bus in doc["buses"]:
-        bus["shunt_g"] = bus["shunt_b"] = 0.0
-    series_only = load_network(json.dumps(doc))
+def test_island_partition_matches_union_find():
     cases = [
-        *build_sequence_admittance(ieee9),
-        *build_sequence_admittance(grounded),
-        *build_sequence_admittance(series_only),
+        *(y for net in island_variants().values() for y in build_sequence_admittance(net)),
         _floating_island_y(),
     ]
     pinned_seen = 0

@@ -4,12 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pvcosim import attach, compare, run_step, solve_three_sequence, solve_unified
+from pvcosim import (
+    attach,
+    build_sequence_admittance,
+    compare,
+    run_step,
+    solve_three_sequence,
+    solve_unified,
+)
 from pvcosim.coupler import CoSimOptions
 from pvcosim.sequences import A_ANA
-from pvcosim.unified import UnifiedSolveError
+from pvcosim.unified import UnifiedSolveError, _CombinedModel
 
-from .conftest import constant_load_feeder
+from .conftest import constant_load_feeder, island_variants, small_feeder
+from .oracles import union_find_islands
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +119,16 @@ def test_zero_transformer_impedance_rejected(ieee9):
         solve_unified(ieee9, [att], 12, None)
 
 
+def test_feeder_root_missing_a_phase_rejected(ieee9):
+    from pvcosim import load_feeder
+
+    doc = json.loads(small_feeder(trafo_z=(0.01, 0.05)))
+    doc["nodes"][0]["phases"] = "a"
+    att = attach(ieee9, 5, load_feeder(json.dumps(doc)))
+    with pytest.raises(UnifiedSolveError, match="three phases"):
+        solve_unified(ieee9, [att], 12, None)
+
+
 def test_compare_rejects_mismatched_sets(ieee9, attachments):
     cs = run_step(ieee9, attachments, 12, None)
     us = solve_unified(ieee9, attachments[:2], 12, None)
@@ -124,3 +142,17 @@ def test_pcc_voltage_sequence_content(ieee9, attachments):
         seq = A_ANA @ us.pcc_voltage[k]
         assert abs(seq[1]) > 1.0  # positive sequence dominates
         assert abs(seq[2]) < 0.01
+
+
+def test_pinned_buses_match_union_find_islands():
+    pinned_seen = 0
+    for name, net in island_variants().items():
+        slack = next(i for i, b in enumerate(net.buses) if b.kind == "slack")
+        _, floating = union_find_islands(build_sequence_admittance(net)[0], slack)
+        keep = np.delete(np.arange(len(net.buses)), slack)
+        pinned = _CombinedModel(net, [], []).pinned
+        assert np.array_equal(pinned, keep[floating]), name
+        pinned_seen += pinned.size
+    # Only ieee9 as bundled floats buses: the two non-slack generator
+    # buses behind zero_seq_open transformers.
+    assert pinned_seen == 2
