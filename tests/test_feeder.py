@@ -324,3 +324,13 @@ def test_scenario_loads_unknown_node(desk13, profile):
     scen = PvScenario(0, 10, placements=(("nowhere", "a", 100.0),), seed=1)
     with pytest.raises(FeederDataError, match="unknown node"):
         scenario_loads(FeederOps(desk13), scen, 12, profile)
+
+
+def test_apply_scenario_unknown_node(desk13, profile):
+    # Applying a scenario rejects an unknown node at every hour, also at
+    # night, when the placement would inject nothing.
+    ops = FeederOps(desk13)
+    scen = PvScenario(0, 10, placements=(("671", "abc", 500.0), ("nowhere", "a", 100.0)), seed=1)
+    for hour in (2, 12):
+        with pytest.raises(FeederDataError, match="unknown node nowhere"):
+            scenario_loads(ops, scen, hour, profile)
