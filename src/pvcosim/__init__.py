@@ -76,4 +76,4 @@ from .transmission import (  # noqa: E402
     solve_sequence_linear,
     solve_three_sequence,
 )
-from .unified import UnifiedSolution, compare, solve_unified  # noqa: E402
+from .unified import UnifiedOps, UnifiedSolution, compare, solve_unified  # noqa: E402

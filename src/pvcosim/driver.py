@@ -25,7 +25,7 @@ from .network import load_network_file
 from .scenarios import PvScenario, feeder_seed, generate, load_profile_file
 from .sequences import A_ANA, unbalance_percent
 from .transmission import SequenceOps, SolverOptions, branch_flows
-from .unified import compare, solve_unified
+from .unified import UnifiedOps, UnifiedSolution, compare, solve_unified
 
 __all__ = [
     "RunConfig",
@@ -202,6 +202,7 @@ class _Runner:
             attach(self.net, bus, f) for (_, bus), f in zip(cfg.feeders, self.feeders)
         ]
         self.seq_ops = SequenceOps(effective_network(self.net, self.attachments))
+        self._unified_ops: UnifiedOps | None = None
         # Only PV cases draw scenarios, so a baseline-only run (n_scenarios=0)
         # also accepts a feeder without customers.
         self.scenarios: list[dict[tuple[int, int], PvScenario]] = []
@@ -213,6 +214,16 @@ class _Runner:
                 else []
             )
             self.scenarios.append({(s.scenario_id, s.penetration_pct): s for s in drawn})
+
+    def oracle(self, hour: int, scen) -> UnifiedSolution:
+        """The unified solve of one case. Its topology is built on first use,
+        inside the case, and kept for the run: a network the oracle rejects
+        fails each case that asks for it, not the whole run."""
+        if self._unified_ops is None:
+            self._unified_ops = UnifiedOps(self.net, self.attachments)
+        return solve_unified(
+            self.net, self.attachments, hour, scen, profile=self.profile, ops=self._unified_ops
+        )
 
     def scenario_list(self, sid: int, level: int) -> list[PvScenario | None]:
         if level == 0:
@@ -226,7 +237,7 @@ class _Runner:
         buses = tuple(a.bus for a in self.attachments)
 
         if cfg.mode == "oracle":
-            us = solve_unified(self.net, self.attachments, hour, scen, profile=self.profile)
+            us = self.oracle(hour, scen)
             wall_ms = (time.perf_counter() - t0) * 1e3
             record = RunRecord(
                 scenario_id=sid,
@@ -281,9 +292,7 @@ class _Runner:
         if cfg.mode == "both":
             # A failed oracle fails the case but keeps the co-simulation's results.
             try:
-                us = solve_unified(
-                    self.net, self.attachments, hour, scen, profile=self.profile
-                )
+                us = self.oracle(hour, scen)
                 rep = compare(result, us, self.attachments)
             except Exception as exc:
                 record.error = _error_text(exc)

@@ -306,6 +306,11 @@ def scenario_loads(ops: FeederOps, scenario, hour: int, profile) -> np.ndarray:
         i = ops.index.get(node_id)
         if i is None:
             raise FeederDataError(f"scenario places PV at unknown node {node_id}")
+        carried = "".join(ph for ph, m in zip(PHASES, ops.mask[i]) if m)
+        if not phases or not set(phases) <= set(carried):
+            raise FeederDataError(
+                f"scenario places PV on phases {phases!r} of node {node_id}, which has {carried!r}"
+            )
         inj = rating_kw * factor
         if inj == 0:
             continue

@@ -5,7 +5,9 @@ package: Gauss-Seidel for the positive-sequence power flow, dense
 phase-frame fixed-point nodal solves, closed-form two-bus voltage,
 element-by-element admittance assembly, per-sequence branch flows,
 union-find sequence-network islands, the feeder sweep as a
-node-by-node tree walk, and PV scenarios written into node loads.
+node-by-node tree walk, PV scenarios written into node loads, and the
+unified solve as a current-injection fixed point with a secant trim of
+the generators' reactive power.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 ALPHA = np.exp(2j * np.pi / 3)
 SYN = np.array(
@@ -352,3 +355,73 @@ def fold_scenario(model, scenario, hour, profile):
         for ph in phases:
             loads[node_id][ph] = loads[node_id].get(ph, 0j) - rating_kw * factor / len(phases)
     return replace(model, nodes=tuple(replace(n, loads=loads[n.id]) for n in model.nodes))
+
+
+def fixed_point_unified(
+    y, unknown, slack, slack_v, load_slot, load_s, pv, v_start,
+    tol=1e-10, pv_tol=1e-8, max_iter=400, max_outer=40,
+):
+    """Phase-frame T&D solve by the current-injection fixed point.
+
+    ``y`` is the sparse phase-frame admittance over all slots; ``unknown``
+    and ``slack`` are slot indices, ``slack_v`` the slack's three phase
+    voltages. Constant-power loads draw ``s`` (per phase, system pu) at
+    ``load_slot``. ``pv`` lists ``(first slot, p_set, v_set)`` of each
+    generator bus: it injects a balanced positive-sequence current of
+    fixed active power, and an outer secant loop, started from a
+    finite-difference sensitivity and halving rejected steps, trims its
+    reactive power until ``|V1|`` is within ``pv_tol`` of ``v_set``.
+    Returns the slot voltages from ``v_start``.
+    """
+    ana1 = np.linalg.inv(SYN)[1]  # phases -> positive sequence
+    lu = spla.splu(y[np.ix_(unknown, unknown)].tocsc())
+    y_us = y[np.ix_(unknown, slack)]
+
+    def injections(v, q):
+        inj = np.zeros(y.shape[0], dtype=complex)
+        inj[load_slot] -= np.conj(3.0 * load_s / v[load_slot])
+        for k, (base, p_set, _v_set) in enumerate(pv):
+            v1 = ana1 @ v[base : base + 3]
+            inj[base : base + 3] += np.conj(complex(p_set, q[k]) / v1) * SYN[:, 1]
+        return inj
+
+    def inner(v, q):
+        for _ in range(max_iter):
+            v = v.copy()
+            v[unknown] = lu.solve(injections(v, q)[unknown] - y_us @ slack_v)
+            if np.max(np.abs((y @ v - injections(v, q))[unknown])) <= tol:
+                return v
+        raise RuntimeError("current-injection iteration stalled")
+
+    def deviation(v):
+        return np.array([abs(ana1 @ v[b : b + 3]) - v_set for b, _p, v_set in pv])
+
+    v = np.asarray(v_start, dtype=complex).copy()
+    v[slack] = slack_v
+    q = np.zeros(len(pv))
+    v = inner(v, q)
+    dev = deviation(v)
+    jac = None
+    outer = 0
+    while pv and np.max(np.abs(dev)) > pv_tol:
+        outer += 1
+        if outer > max_outer:
+            raise RuntimeError("reactive adjustment did not settle")
+        if jac is None:
+            delta = 0.05
+            jac = np.column_stack(
+                [(deviation(inner(v, q + delta * e)) - dev) / delta for e in np.eye(len(pv))]
+            )
+        step = np.linalg.solve(jac, -dev)
+        step *= min(1.0, 0.5 / max(1e-12, float(np.max(np.abs(step)))))
+        lam = 1.0
+        for _ in range(8):
+            v_try = inner(v, q + lam * step)
+            if np.max(np.abs(deviation(v_try))) < np.max(np.abs(dev)):
+                break
+            lam *= 0.5
+        else:
+            raise RuntimeError("reactive adjustment could not reduce deviation")
+        q = q + lam * step
+        v, dev = v_try, deviation(v_try)
+    return v

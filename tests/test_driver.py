@@ -24,6 +24,7 @@ from pvcosim.driver import (
     validate_config,
 )
 from pvcosim.scenarios import feeder_seed, load_scenarios
+from pvcosim.unified import UnifiedOps
 
 from .conftest import constant_load_feeder, small_feeder
 
@@ -355,6 +356,24 @@ def test_both_mode_keeps_cosim_when_oracle_fails(tmp_path):
         assert rec.s_phase.tobytes() == ref.s_phase.tobytes()
         assert rec.fpi_iterations == ref.fpi_iterations
     assert without_wall(both.trace) == without_wall(cosim.trace) != []
+    # The oracle's topology build failed in the baseline case; the next
+    # case builds it again and fails with the same text.
+    assert both.records[0].error == both.baseline[12].error
+
+
+def test_oracle_topology_built_once_per_run_and_only_for_the_oracle(monkeypatch):
+    builds = []
+    build = UnifiedOps.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(UnifiedOps, "__init__", counted)
+    run(small_config(levels=(10, 20)))
+    assert builds == []
+    run(small_config(levels=(10, 20), mode="both"))
+    assert len(builds) == 1
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -334,3 +334,17 @@ def test_apply_scenario_unknown_node(desk13, profile):
     for hour in (2, 12):
         with pytest.raises(FeederDataError, match="unknown node nowhere"):
             scenario_loads(ops, scen, hour, profile)
+
+
+@pytest.mark.parametrize("phases", ["b", "ab", "x", ""])
+def test_scenario_loads_rejects_a_phase_the_node_lacks(desk13, profile, phases):
+    # Node 684 carries phases a and c. A unit on any other phase, or on
+    # none, would produce nothing, so it is rejected at every hour.
+    ops = FeederOps(desk13)
+    assert "".join(ph for ph, m in zip("abc", ops.mask[ops.index["684"]]) if m) == "ac"
+    scen = PvScenario(0, 10, placements=(("684", phases, 1000.0),), seed=1)
+    for hour in (2, 12):
+        with pytest.raises(FeederDataError, match=f"phases {phases!r} of node 684, which has 'ac'"):
+            scenario_loads(ops, scen, hour, profile)
+    ok = PvScenario(0, 10, placements=(("684", "ac", 1000.0),), seed=1)
+    assert scenario_loads(ops, ok, 2, profile).tobytes() == ops.loads.tobytes()

@@ -8,16 +8,19 @@ from pvcosim import (
     attach,
     build_sequence_admittance,
     compare,
+    generate,
     run_step,
     solve_three_sequence,
     solve_unified,
 )
-from pvcosim.coupler import CoSimOptions
+from pvcosim.coupler import CoSimOptions, _feeder_loads
+from pvcosim.driver import RunConfig, _Runner
+from pvcosim.network import Bus
 from pvcosim.sequences import A_ANA
-from pvcosim.unified import UnifiedSolveError, _CombinedModel
+from pvcosim.unified import AGREEMENT_PU, UnifiedOps, UnifiedSolveError
 
 from .conftest import constant_load_feeder, island_variants, small_feeder
-from .oracles import union_find_islands
+from .oracles import fixed_point_unified, union_find_islands
 
 
 @pytest.fixture(scope="module")
@@ -150,9 +153,86 @@ def test_pinned_buses_match_union_find_islands():
         slack = next(i for i, b in enumerate(net.buses) if b.kind == "slack")
         _, floating = union_find_islands(build_sequence_admittance(net)[0], slack)
         keep = np.delete(np.arange(len(net.buses)), slack)
-        pinned = _CombinedModel(net, [], []).pinned
+        pinned = UnifiedOps(net, []).pinned
         assert np.array_equal(pinned, keep[floating]), name
         pinned_seen += pinned.size
     # Only ieee9 as bundled floats buses: the two non-slack generator
     # buses behind zero_seq_open transformers.
     assert pinned_seen == 2
+
+
+def test_newton_matches_fixed_point_reference():
+    """Newton and the fixed point it replaced agree on the bundled sweep,
+    with the reference's generator trim tightened to 1e-10."""
+    runner = _Runner(RunConfig.bundled(master_seed=4242))
+    ops = UnifiedOps(runner.net, runner.attachments)
+    pv = [(slots[0], p, v) for slots, p, v in zip(ops.pv_slots, ops.pv_p, ops.pv_v)]
+    for level in (0, *range(10, 101, 10)):
+        scen = runner.scenario_list(0, level)
+        us = solve_unified(
+            runner.net, runner.attachments, 12, scen, profile=runner.profile, ops=ops
+        )
+        load_s = ops.load_s(_feeder_loads(runner.attachments, scen, 12, runner.profile))
+        load_slot = np.flatnonzero(load_s)
+        v = fixed_point_unified(
+            ops.y, ops.unknown, ops.slack_slots, ops.slack_v, load_slot, load_s[load_slot], pv,
+            ops.v_flat, pv_tol=1e-10,
+        )
+        for i, b in enumerate(ops.bus_ids):
+            assert np.max(np.abs(us.bus_voltages[b] - v[3 * i : 3 * i + 3])) < 1e-9, (level, b)
+        assert np.max(np.abs(us.pcc_voltage - v[ops.pcc_slots])) < 1e-9, level
+
+
+def _scaled(scenario, k):
+    return replace(
+        scenario,
+        placements=tuple((node, ph, kw * k) for node, ph, kw in scenario.placements),
+    )
+
+
+@pytest.mark.parametrize("k", [3.25, 3.5, 3.75])
+def test_converges_wherever_cosim_does_under_heavy_pv(ieee9, desk13, profile, attachments, k):
+    # Criterion 1's full-penetration scenarios with every PV rating times
+    # k: the co-simulation still converges here, so the oracle must too.
+    scen = [_scaled(generate(desk13, [100], 1, master_seed=s)[0], k) for s in range(3)]
+    us = solve_unified(ieee9, attachments, 12, scen, profile=profile)
+    cs = run_step(ieee9, attachments, 12, scen, profile=profile)
+    assert compare(cs, us, attachments)["max_diff"] < AGREEMENT_PU
+
+
+def test_step_cap_raises_typed_error(ieee9, attachments):
+    with pytest.raises(UnifiedSolveError, match=r"max_iter=1 steps: current mismatch \d\.\d+e"):
+        solve_unified(ieee9, attachments, 12, None, max_iter=1)
+
+
+def test_singular_jacobian_raises_typed_error(ieee9):
+    # A bus without branches or shunts floats in the positive and
+    # negative sequences, so the Newton matrix is singular.
+    isolated = replace(ieee9, buses=ieee9.buses + (Bus(id=99, kind="pq", base_kv=230.0),))
+    with pytest.raises(UnifiedSolveError, match="singular Jacobian"):
+        solve_unified(isolated, [], 12, None)
+
+
+def test_jacobian_matches_finite_differences(ieee9, desk13, profile, attachments):
+    ops = UnifiedOps(ieee9, attachments)
+    scen = [generate(desk13, [50], 1, master_seed=s)[0] for s in range(3)]
+    load_s = ops.load_s(_feeder_loads(attachments, scen, 12, profile))
+    rng = np.random.default_rng(3)
+    v = ops.v_flat * (1 + 0.05 * rng.standard_normal(ops.size))
+    v[ops.slack_slots] = ops.slack_v
+    q = 0.3 * rng.standard_normal(ops.pv_p.size)
+    u, nu = ops.unknown, ops.unknown.size
+
+    def equations(x):
+        vx = v.copy()
+        vx[u] = x[:nu] + 1j * x[nu : 2 * nu]
+        cur, v1 = ops.mismatch(vx, x[2 * nu :], load_s)
+        return np.concatenate([cur[u].real, cur[u].imag, np.abs(v1) - ops.pv_v])
+
+    x = np.concatenate([v[u].real, v[u].imag, q])
+    h = 1e-6
+    numeric = np.column_stack(
+        [(equations(x + h * e) - equations(x - h * e)) / (2 * h) for e in np.eye(x.size)]
+    )
+    jac = ops.jacobian(v, q, ops.mismatch(v, q, load_s)[1], load_s).toarray()
+    assert np.max(np.abs(jac - numeric)) < 1e-6 * np.max(np.abs(jac))
