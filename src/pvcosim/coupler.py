@@ -2,7 +2,8 @@
 
 Each fixed-point iteration solves the transmission system with the
 last-known per-phase equivalent loads at every PCC, then re-solves all
-attached feeders against the fresh PCC phase voltages. The iteration
+attached feeders against the fresh PCC phase voltages, in one forest
+sweep (``feeder.forest``) per iteration. The iteration
 stops when no boundary variable (phase voltage or phase power, both in
 per-unit) moves by more than the boundary tolerance between consecutive
 iterations.
@@ -18,7 +19,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .feeder import FeederModel, FeederOps, FeederSolution, scenario_loads, solve_feeder
+from .feeder import (
+    FeederModel,
+    FeederOps,
+    FeederSolution,
+    forest,
+    scenario_loads,
+    solve_feeder,
+)
 from .network import TransmissionNetwork
 from .sequences import phases_from_sequences
 from .transmission import (
@@ -183,22 +191,18 @@ def _pcc_loads(attachments, s_rows: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def _solve_feeders(
-    attachments, loads: list[np.ndarray], v_rows: np.ndarray, opts: CoSimOptions
-) -> tuple[list[FeederSolution], np.ndarray]:
-    """Solve each feeder at its PCC voltage; return the solutions and the
-    per-attachment PCC powers (system pu)."""
-    fsols = []
-    for att, s, v in zip(attachments, loads, v_rows):
-        try:
-            fsols.append(
-                solve_feeder(
-                    att.ops, v, tol=opts.feeder_tol, max_iter=opts.feeder_max_iter, loads=s
-                )
-            )
-        except Exception as exc:
-            raise CosimError(str(exc), side="distribution") from exc
-    s_rows = np.array([equivalent_load(fs, att) for fs, att in zip(fsols, attachments)])
-    return fsols, s_rows
+    attachments, feeder_ops: FeederOps, loads: np.ndarray, v_rows: np.ndarray, opts: CoSimOptions
+) -> tuple[FeederSolution, np.ndarray]:
+    """Sweep every feeder at its PCC voltage in one call; return the
+    forest's solution and the per-attachment PCC powers (system pu)."""
+    try:
+        fsol = solve_feeder(
+            feeder_ops, v_rows, tol=opts.feeder_tol, max_iter=opts.feeder_max_iter, loads=loads
+        )
+    except Exception as exc:
+        raise CosimError(str(exc), side="distribution") from exc
+    base = np.array([[1e3 * att.mva_base] for att in attachments])
+    return fsol, fsol.pcc_power_kw / base
 
 
 def run_step(
@@ -211,21 +215,29 @@ def run_step(
     profile=None,
     solver_opts: SolverOptions | None = None,
     seq_ops: SequenceOps | None = None,
+    feeder_ops: FeederOps | None = None,
 ) -> CoSimResult:
-    """Run one quasi-static co-simulation step to boundary convergence."""
+    """Run one quasi-static co-simulation step to boundary convergence.
+
+    ``seq_ops`` (of the effective network) and ``feeder_ops`` (the forest
+    of the attachments' operators, in order) are built here when not
+    given.
+    """
     opts = opts or CoSimOptions()
     solver_opts = solver_opts or SolverOptions()
     attachments = list(attachments)
-    loads = _feeder_loads(attachments, scenario_per_feeder, hour, profile)
+    loads = np.concatenate(_feeder_loads(attachments, scenario_per_feeder, hour, profile))
 
     net_eff = effective_network(net, attachments)
     seq_ops = seq_ops if seq_ops is not None else SequenceOps(net_eff)
+    if feeder_ops is None:
+        feeder_ops = forest([att.ops for att in attachments])
 
     n_att = len(attachments)
     v_rows = np.tile(_NOMINAL_V, (n_att, 1))
 
     # Decoupled first solves: each feeder at nominal balanced voltage.
-    fsols, s_rows = _solve_feeders(attachments, loads, v_rows, opts)
+    fsol, s_rows = _solve_feeders(attachments, feeder_ops, loads, v_rows, opts)
     history = [BoundaryState(v_phase=v_rows.copy(), s_phase=s_rows.copy(), iteration=0)]
 
     seq_sol: SeqSolution | None = None
@@ -240,7 +252,7 @@ def run_step(
             raise CosimError(str(exc), side="transmission") from exc
 
         v_rows = np.array([source_voltage(seq_sol, att) for att in attachments])
-        fsols, s_new = _solve_feeders(attachments, loads, v_rows, opts)
+        fsol, s_new = _solve_feeders(attachments, feeder_ops, loads, v_rows, opts)
         lam = opts.under_relaxation
         s_rows = lam * s_new + (1.0 - lam) * s_rows
 
@@ -256,7 +268,7 @@ def run_step(
 
     return CoSimResult(
         seq_solution=seq_sol,
-        feeder_solutions=tuple(fsols),
+        feeder_solutions=fsol.feeders(),
         boundary_history=tuple(history),
         fpi_iterations=len(history) - 1,
     )
@@ -283,7 +295,7 @@ def verify_fixed_point(
     attachments = list(attachments)
     final = result.final_boundary
 
-    loads = _feeder_loads(attachments, scenario_per_feeder, hour, profile)
+    loads = np.concatenate(_feeder_loads(attachments, scenario_per_feeder, hour, profile))
     seq_sol = solve_three_sequence(
         effective_network(net, attachments),
         _pcc_loads(attachments, final.s_phase),
@@ -291,6 +303,7 @@ def verify_fixed_point(
         start=result.seq_solution,
     )
     v_rows = np.array([source_voltage(seq_sol, att) for att in attachments])
-    _, s_rows = _solve_feeders(attachments, loads, final.v_phase, opts)
+    feeder_ops = forest([att.ops for att in attachments])
+    _, s_rows = _solve_feeders(attachments, feeder_ops, loads, final.v_phase, opts)
     state = BoundaryState(v_phase=v_rows, s_phase=s_rows, iteration=final.iteration + 1)
     return boundary_error(final, state)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data_path
 from .coupler import CoSimOptions, attach, boundary_error, effective_network, run_step
-from .feeder import load_feeder_file
+from .feeder import forest, load_feeder_file
 from .network import load_network_file
 from .scenarios import PvScenario, feeder_seed, generate, load_profile_file
 from .sequences import A_ANA, unbalance_percent
@@ -201,7 +201,12 @@ class _Runner:
         self.attachments = [
             attach(self.net, bus, f) for (_, bus), f in zip(cfg.feeders, self.feeders)
         ]
-        self.seq_ops = SequenceOps(effective_network(self.net, self.attachments))
+        # The co-simulation's operators; oracle mode runs none of it.
+        cosim = cfg.mode != "oracle"
+        self.seq_ops = (
+            SequenceOps(effective_network(self.net, self.attachments)) if cosim else None
+        )
+        self.feeder_ops = forest([a.ops for a in self.attachments]) if cosim else None
         self._unified_ops: UnifiedOps | None = None
         # Only PV cases draw scenarios, so a baseline-only run (n_scenarios=0)
         # also accepts a feeder without customers.
@@ -265,6 +270,7 @@ class _Runner:
             profile=self.profile,
             solver_opts=cfg.solver,
             seq_ops=self.seq_ops,
+            feeder_ops=self.feeder_ops,
         )
         wall_ms = (time.perf_counter() - t0) * 1e3
 

@@ -7,6 +7,13 @@ works in volts and ohms; the source voltage at the PCC is given in
 per-unit of the feeder line-to-neutral base (the substation transformer
 ratio is nominal, so transmission per-unit maps one-to-one).
 
+``FeederOps`` holds one feeder's sweep operator; ``forest`` stacks
+several into one operator with block-diagonal sweep matrices, so
+``solve_feeder`` sweeps every feeder attached to a transmission system
+in one loop. A single feeder is a forest of one. Convergence is per
+feeder: a feeder that has converged keeps the iterate of that round, so
+each feeder's result is the one its own solve would give.
+
 A PV deployment never changes the model: ``scenario_loads`` folds it
 into a per-node load array that every solve takes as ``loads``.
 """
@@ -14,7 +21,9 @@ into a per-node load array that every solve takes as ``loads``.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +37,7 @@ __all__ = [
     "FeederDataError",
     "FeederSolveError",
     "FeederOps",
+    "forest",
     "load_feeder",
     "load_feeder_file",
     "solve_feeder",
@@ -86,13 +96,17 @@ class FeederModel:
     peak_kw: float
     mva_base: float = 100.0
 
-    @property
+    @cached_property
     def root(self) -> str:
         children = {ln.to_node for ln in self.lines}
         return next(n.id for n in self.nodes if n.id not in children)
 
+    @cached_property
+    def _nodes_by_id(self) -> dict[str, FeederNode]:
+        return {n.id: n for n in self.nodes}
+
     def node(self, node_id: str) -> FeederNode:
-        return next(n for n in self.nodes if n.id == node_id)
+        return self._nodes_by_id[node_id]
 
     def customers(self) -> tuple[FeederNode, ...]:
         return tuple(n for n in self.nodes if n.loads)
@@ -108,20 +122,63 @@ class FeederModel:
 
 @dataclass
 class FeederSolution:
-    node_ids: tuple[str, ...]
+    """A sweep's result on the nodes of ``ops``, one feeder or a forest.
+
+    ``pcc_power_kw`` and ``head_current`` hold one row per feeder, or one
+    triple when the solve was given one source triple. ``feeders()``
+    splits a forest's solution into one solution per feeder; the
+    node-id accessors need a single feeder.
+    """
+
+    ops: FeederOps = field(repr=False)
     v: np.ndarray  # (n, 3) complex volts, parent value carried on absent phases
-    phase_mask: np.ndarray  # (n, 3) bool
-    line_currents: dict[tuple[str, str], np.ndarray]  # (3,) amps into the to-node
-    pcc_power_kw: np.ndarray  # (3,) complex kW at the transmission side
-    head_current: np.ndarray  # (3,) amps into the substation transformer
-    iterations: int
-    v_ln_base: float
+    branch_currents: np.ndarray  # (n, 3) amps into each node through its feeding branch
+    pcc_power_kw: np.ndarray  # (3,) or (k, 3) complex kW at the transmission side
+    head_current: np.ndarray  # (3,) or (k, 3) amps into the substation transformer
+    iterations: int  # sweep rounds; in a forest, those of the slowest feeder
+    feeder_iterations: np.ndarray  # (k,) sweep rounds of each feeder
+
+    @property
+    def node_ids(self) -> tuple[str, ...]:
+        return self.ops.ids
+
+    @property
+    def phase_mask(self) -> np.ndarray:
+        return self.ops.mask
+
+    @cached_property
+    def line_currents(self) -> dict[tuple[str, str], np.ndarray]:
+        """(3,) amps into the to-node of each line, keyed ``(from, to)``;
+        built on first use."""
+        index = self.ops.index
+        return {
+            (ln.from_node, ln.to_node): self.branch_currents[index[ln.to_node]]
+            for ln in self.ops.model.lines
+        }
 
     def v_pu(self) -> np.ndarray:
-        return self.v / self.v_ln_base
+        return self.v / self.ops.v_ln[:, None]
 
     def voltage(self, node_id: str) -> np.ndarray:
-        return self.v[self.node_ids.index(node_id)]
+        return self.v[self.ops.index[node_id]]
+
+    def feeders(self) -> tuple[FeederSolution, ...]:
+        """One solution per feeder of the forest, each with its own iterations."""
+        pcc = self.pcc_power_kw.reshape(-1, 3)
+        head = self.head_current.reshape(-1, 3)
+        bounds = self.ops.offsets
+        return tuple(
+            FeederSolution(
+                ops=part,
+                v=self.v[a:b],
+                branch_currents=self.branch_currents[a:b],
+                pcc_power_kw=pcc[k],
+                head_current=head[k],
+                iterations=int(self.feeder_iterations[k]),
+                feeder_iterations=self.feeder_iterations[k : k + 1],
+            )
+            for k, (part, a, b) in enumerate(zip(self.ops.parts, bounds, bounds[1:]))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +310,21 @@ class FeederOps:
     is the branch feeding node ``c`` (the substation transformer for the
     root) and ``bibc[c, j] = 1`` when node ``j`` lies in the subtree fed
     through that branch. ``z`` stacks each branch's 3x3 impedance in ohms
-    in the same row order.
+    in the same row order, and ``v_ln`` holds each node's line-to-neutral
+    base in volts.
+
+    The same attributes describe a forest (see ``forest``): ``parts``
+    lists its feeders, feeder ``k`` owns nodes ``offsets[k]`` to
+    ``offsets[k + 1]`` and has its root at ``roots[k]``. A single feeder
+    is its own only part; ``model``, ``ids`` and ``index`` exist only on
+    a single feeder.
     """
 
     def __init__(self, model: FeederModel):
         self.model = model
         self.ids = tuple(n.id for n in model.nodes)
         self.index = {nid: i for i, nid in enumerate(self.ids)}
-        self.root = self.index[model.root]
+        root = self.index[model.root]
 
         n = len(self.ids)
         self.mask = np.zeros((n, 3), dtype=bool)
@@ -272,7 +336,7 @@ class FeederOps:
 
         parent = np.full(n, -1, dtype=int)
         self.z = np.zeros((n, 3, 3), dtype=complex)
-        self.z[self.root] = model.transformer.z_pu * model.z_base * np.eye(3)
+        self.z[root] = model.transformer.z_pu * model.z_base * np.eye(3)
         for ln in model.lines:
             t = self.index[ln.to_node]
             parent[t] = self.index[ln.from_node]
@@ -289,7 +353,47 @@ class FeederOps:
         ones = np.ones(len(rows), dtype=complex)
         self.bibc = sp.coo_matrix((ones, (rows, cols)), shape=(n, n)).tocsr()
         self.bibc_t = self.bibc.T.tocsr()
-        self.v_ln = model.v_ln_base
+        self.v_ln = np.full(n, model.v_ln_base)
+
+        self.parts = (self,)
+        self.roots = np.array([root])
+        self.offsets = np.array([0, n])
+
+
+def forest(parts: Sequence[FeederOps]) -> FeederOps:
+    """One operator over several feeders, in the order given.
+
+    The per-node arrays are concatenated and the sweep matrices are block
+    diagonal, built from each feeder's CSR arrays with offsets; no path
+    is walked again.
+    """
+    parts = tuple(single for ops in parts for single in ops.parts)
+    sizes = [len(p.ids) for p in parts]
+    out = FeederOps.__new__(FeederOps)
+    out.parts = parts
+    out.offsets = np.concatenate([[0], np.cumsum(sizes)])
+    out.roots = np.array([p.roots[0] for p in parts]) + out.offsets[:-1]
+    out.mask = np.concatenate([p.mask for p in parts])
+    out.loads = np.concatenate([p.loads for p in parts])
+    out.z = np.concatenate([p.z for p in parts])
+    out.v_ln = np.concatenate([p.v_ln for p in parts])
+    out.bibc = _block_diagonal([p.bibc for p in parts], out.offsets)
+    out.bibc_t = _block_diagonal([p.bibc_t for p in parts], out.offsets)
+    return out
+
+
+def _block_diagonal(blocks: list[sp.csr_matrix], offsets: np.ndarray) -> sp.csr_matrix:
+    """Square CSR blocks on the diagonal, block ``k`` from row ``offsets[k]``.
+
+    Each row keeps its entries in their order, so a product row sums the
+    same terms in the same order as the block's own product.
+    """
+    nnz = np.cumsum([0] + [b.nnz for b in blocks])
+    data = np.concatenate([b.data for b in blocks])
+    indices = np.concatenate([b.indices + off for b, off in zip(blocks, offsets)])
+    indptr = np.concatenate([b.indptr[:-1] + k for b, k in zip(blocks, nnz)] + [nnz[-1:]])
+    n = int(offsets[-1])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def scenario_loads(ops: FeederOps, scenario, hour: int, profile) -> np.ndarray:
@@ -333,69 +437,86 @@ def solve_feeder(
     *,
     loads: np.ndarray | None = None,
 ) -> FeederSolution:
-    """Forward-backward sweep at a fixed per-phase source voltage.
+    """Forward-backward sweep of one feeder, or of a forest, at fixed source voltages.
 
     ``source_v`` is the PCC voltage in per-unit of the feeder
-    line-to-neutral base (three complex phasors). ``loads`` replaces the
-    feeder's own node loads (kW + j kvar, shape of ``FeederOps.loads``),
-    e.g. with ``scenario_loads``.
+    line-to-neutral base: one row of three complex phasors per feeder,
+    shape ``(k, 3)``, or three phasors for a single feeder. ``loads``
+    replaces the feeders' own node loads (kW + j kvar, shape of
+    ``FeederOps.loads``), e.g. with ``scenario_loads``.
 
-    Each iteration is the matrix form of J.-H. Teng, "A direct approach
-    for distribution system load flow solutions", IEEE Trans. Power
-    Delivery 18(3), 2003: node currents at the present voltages, branch
-    currents ``BIBC @ I``, node voltages ``src - BIBC^T @ (Z I_branch)``.
+    Each round is the matrix form of J.-H. Teng, "A direct approach for
+    distribution system load flow solutions", IEEE Trans. Power Delivery
+    18(3), 2003: node currents at the present voltages, branch currents
+    ``BIBC @ I``, node voltages ``src - BIBC^T @ (Z I_branch)``, with one
+    product of each kind for all feeders of a forest together.
+
+    Convergence is per feeder. Once a feeder's largest per-unit voltage
+    change is at most ``tol``, its voltages and branch currents stay at
+    that round's values, so every feeder returns exactly the iterate and
+    iteration count of its own solve. A collapse below 0.5 pu in any
+    feeder, or a feeder still moving after ``max_iter`` rounds, raises
+    ``FeederSolveError``.
     """
     ops = feeder if isinstance(feeder, FeederOps) else FeederOps(feeder)
-    src = np.asarray(source_v, dtype=complex) * ops.v_ln
-    if src.shape != (3,):
-        raise ValueError("source_v must be three phasors")
+    k = len(ops.parts)
+    src = np.asarray(source_v, dtype=complex)
+    if src.shape != (k, 3) and not (k == 1 and src.shape == (3,)):
+        raise ValueError("source_v must be three phasors per feeder")
+    src = src.reshape(k, 3) * ops.v_ln[ops.roots, None]
     if np.any(np.abs(src) == 0):
         raise ValueError("source voltage must be nonzero on all phases")
 
+    starts = ops.offsets[:-1]
+    owner = np.repeat(np.arange(k), np.diff(ops.offsets))  # feeder of each node
     s = (ops.loads if loads is None else loads) * 1e3  # VA
     nz = ops.mask & (np.abs(s) > 0)
     s_nz = s[nz]
-    v = np.tile(src, (len(ops.ids), 1))
+    src_node = src[owner]
+    v = src_node
+    i_line = np.zeros_like(v)
     inode = np.zeros_like(v)
 
+    rounds = np.zeros(k, dtype=int)
+    change = np.full(k, np.inf)
+    active = np.ones(k, dtype=bool)
     it = 0
-    change = np.inf
-    while it < max_iter:
+    while it < max_iter and active.any():
         it += 1
         inode[nz] = np.conj(s_nz / v[nz])
-        i_line = ops.bibc @ inode  # current into each node through its feeding branch
-        v_new = src - ops.bibc_t @ np.einsum("nij,nj->ni", ops.z, i_line)
+        i_new = ops.bibc @ inode  # current into each node through its feeding branch
+        v_new = src_node - ops.bibc_t @ np.einsum("nij,nj->ni", ops.z, i_new)
 
-        change = float(np.max(np.abs((v_new - v)[ops.mask]) / ops.v_ln))
-        v = v_new
-        low = np.abs(v[ops.mask]) / ops.v_ln < 0.5
+        step = np.where(ops.mask, np.abs(v_new - v), 0.0).max(axis=1) / ops.v_ln
+        change = np.where(active, np.maximum.reduceat(step, starts), change)
+        moving = active[owner, None]
+        v = np.where(moving, v_new, v)
+        i_line = np.where(moving, i_new, i_line)
+        rounds[active] = it
+        low = (np.abs(v) / ops.v_ln[:, None])[ops.mask] < 0.5
         if np.any(low):
             raise FeederSolveError(
                 "voltage collapse: node voltage below 0.5 pu during sweep",
-                last_change=change,
+                last_change=float(change[active].max()),
             )
-        if change <= tol:
-            break
-    if change > tol:
+        active = ~(change <= tol)
+    if active.any():
+        last = float(change[active].max())
         raise FeederSolveError(
-            f"sweep did not converge in {max_iter} iterations "
-            f"(last change {change:.3e} pu)",
-            last_change=change,
+            f"sweep did not converge in {max_iter} iterations (last change {last:.3e} pu)",
+            last_change=last,
         )
 
-    head = i_line[ops.root].copy()
+    head = i_line[ops.roots]
     s_pcc = src * np.conj(head) / 1e3  # complex kW per phase, transmission side
-    line_currents = {
-        (ln.from_node, ln.to_node): i_line[ops.index[ln.to_node]].copy()
-        for ln in ops.model.lines
-    }
+    if np.ndim(source_v) == 1:
+        head, s_pcc = head[0], s_pcc[0]
     return FeederSolution(
-        node_ids=ops.ids,
+        ops=ops,
         v=v,
-        phase_mask=ops.mask.copy(),
-        line_currents=line_currents,
+        branch_currents=i_line,
         pcc_power_kw=s_pcc,
         head_current=head,
         iterations=it,
-        v_ln_base=ops.v_ln,
+        feeder_iterations=rounds,
     )

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .network import Branch, TransmissionNetwork, build_sequence_admittance
-from .sequences import A_ANA, A_SYN, SequenceSet, phase_currents
+from .sequences import A_SYN, SequenceSet, phase_currents, sequences_from_phases
 
 __all__ = [
     "SolverOptions",
@@ -136,6 +136,23 @@ class SequenceOps:
         self.pq = np.array([i for i, k in enumerate(kinds) if k == "pq"], dtype=int)
         self.pvpq = np.concatenate([self.pv, self.pq])
 
+        # Newton's equations are P at pv and pq buses, then Q at pq buses;
+        # its unknowns are the angles at pv and pq buses, then the
+        # magnitudes at pq buses. ``nr_bus`` is the bus of each equation.
+        # Viewed as floats, a complex array holds (re, im) pairs, so
+        # ``mismatch_take`` picks the real or imaginary part of each
+        # equation's bus from a power mismatch, and ``jac_take`` picks
+        # each Jacobian entry from the float view of the n x 2n matrix
+        # ``[dS/dVa | dS/dVm]``.
+        n_p = self.pvpq.size
+        self.nr_bus = np.concatenate([self.pvpq, self.pq])
+        part = (np.arange(self.nr_bus.size) >= n_p).astype(int)  # 0: P (real), 1: Q (imag)
+        self.mismatch_take = 2 * self.nr_bus + part
+        unknown_col = np.concatenate([self.pvpq, self.n + self.pq])
+        self.jac_take = (
+            self.nr_bus[:, None] * (4 * self.n) + 2 * unknown_col[None, :] + part[:, None]
+        )
+
         self.v_set = np.ones(self.n)
         slack_bus = net.buses[self.slack]
         self.v_set[self.slack] = (
@@ -200,7 +217,6 @@ class _LinearSequenceSolver:
         self.n = y.shape[0]
         self.slack = slack
         keep = np.array([i for i in range(self.n) if i != slack], dtype=int)
-        self.keep = keep
         ysub = y[np.ix_(keep, keep)].tocsc()
 
         dense = y.toarray()
@@ -216,6 +232,8 @@ class _LinearSequenceSolver:
         solvable = np.bincount(labels, weights=anchored_bus[keep])[labels] > 0
         self.solvable_local = np.where(solvable)[0]
         self.pinned_local = np.where(~solvable)[0]
+        self.solvable = keep[self.solvable_local]  # bus positions
+        self.pinned = keep[self.pinned_local]
 
         self.lu = None
         if self.solvable_local.size:
@@ -223,23 +241,18 @@ class _LinearSequenceSolver:
             try:
                 self.lu = spla.splu(core)
             except RuntimeError as exc:
-                raise SequenceSolveError(
-                    [int(keep[i]) for i in self.solvable_local], str(exc)
-                ) from exc
+                raise SequenceSolveError([int(i) for i in self.solvable], str(exc)) from exc
 
     def solve(self, injections: np.ndarray) -> np.ndarray:
         inj = np.asarray(injections, dtype=complex)
         if inj.shape != (self.n,):
             raise ValueError(f"injection vector must have length {self.n}")
-        bad = [
-            int(self.keep[i]) for i in self.pinned_local if abs(inj[self.keep[i]]) > 1e-11
-        ]
-        if bad:
+        if self.pinned.size and np.any(np.abs(inj[self.pinned]) > 1e-11):
+            bad = [int(i) for i in self.pinned if abs(inj[i]) > 1e-11]
             raise SequenceSolveError(bad, "current injected into ungrounded island")
         v = np.zeros(self.n, dtype=complex)
         if self.lu is not None:
-            rhs = inj[self.keep[self.solvable_local]]
-            v[self.keep[self.solvable_local]] = self.lu.solve(rhs)
+            v[self.solvable] = self.lu.solve(inj[self.solvable])
         return v
 
 
@@ -255,58 +268,53 @@ def _nr_solve(
     v_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float, list[float]]:
     """Full NR in polar form. Returns (V, iterations, mismatch, history)."""
-    n = ops.n
     y = ops.y1_dense
     pv, pq, pvpq, slack = ops.pv, ops.pq, ops.pvpq, ops.slack
+    n_p = pvpq.size
+    diag = np.diag_indices(ops.n)
 
     v = ops.flat_voltages() if v_start is None else v_start.astype(complex).copy()
     v[slack] = ops.v_set[slack]
     if pv.size:
         v[pv] = ops.v_set[pv] * v[pv] / np.abs(v[pv])
 
-    npv, npq = pv.size, pq.size
-
     def mismatch(vv):
-        s_calc = vv * np.conj(y @ vv)
-        ds = s_calc - sbus
-        return np.concatenate([ds[pvpq].real, ds[pq].imag])
+        ibus = y @ vv
+        ds = vv * np.conj(ibus) - sbus
+        return ibus, np.take(ds.view(np.float64), ops.mismatch_take)
 
-    f = mismatch(v)
+    ibus, f = mismatch(v)
     norm = float(np.max(np.abs(f))) if f.size else 0.0
     history = [norm]
     it = 0
     while norm > opts.tol_nr and it < opts.max_nr:
         it += 1
         vm = np.abs(v)
-        ibus = y @ v
-        diag_v = np.diag(v)
-        diag_i = np.diag(ibus)
-        diag_vn = np.diag(v / vm)
-        ds_dvm = diag_v @ np.conj(y @ diag_vn) + np.conj(diag_i) @ diag_vn
-        ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
-
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
+        vn = v / vm
+        # [dS/dVa | dS/dVm] by broadcasting, in C order for the float view:
+        # dS/dVa = j diag(V) conj(diag(I) - Y diag(V)) and
+        # dS/dVm = diag(V) conj(Y diag(Vn)) + conj(diag(I)) diag(Vn).
+        ds = np.empty((ops.n, 2 * ops.n), dtype=complex)
+        ds_dva, ds_dvm = ds[:, : ops.n], ds[:, ops.n :]
+        d = -(y * v)
+        d[diag] += ibus
+        ds_dva[:] = 1j * v[:, None] * np.conj(d)
+        ds_dvm[:] = v[:, None] * np.conj(y * vn)
+        ds_dvm[diag] += np.conj(ibus) * vn
+        jac = np.take(ds.view(np.float64), ops.jac_take)
 
         lu, piv = scipy.linalg.lu_factor(jac, check_finite=False)
         udiag = np.abs(np.diag(lu))
         if udiag.size and udiag.min() < 1e-12 * max(1.0, udiag.max()):
-            var = int(np.argmin(udiag))
-            bus_pos = pvpq[var] if var < npv + npq else pq[var - npv - npq]
-            raise SingularJacobianError(ops.bus_ids[bus_pos])
+            raise SingularJacobianError(ops.bus_ids[ops.nr_bus[int(np.argmin(udiag))]])
         dx = scipy.linalg.lu_solve((lu, piv), f, check_finite=False)
 
         va = np.angle(v)
-        vm = np.abs(v)
-        va[pvpq] -= dx[: npv + npq]
-        if npq:
-            vm[pq] -= dx[npv + npq :]
+        va[pvpq] -= dx[:n_p]
+        vm[pq] -= dx[n_p:]
         v = vm * np.exp(1j * va)
 
-        f = mismatch(v)
+        ibus, f = mismatch(v)
         norm = float(np.max(np.abs(f))) if f.size else 0.0
         history.append(norm)
 
@@ -368,21 +376,14 @@ def _compensation_arrays(
     balanced constant-power model the NR already accounts for, so a
     balanced system yields an all-zero matrix.
     """
-    n = ops.n
-    inj = np.zeros((n, 3), dtype=complex)
-
+    inj = np.zeros((ops.n, 3), dtype=complex)
     seq = np.stack([v0, v1, v2], axis=1)
-    vabc = seq @ A_SYN.T
 
-    loaded = np.where(np.abs(loads_ph).sum(axis=1) > 0)[0]
-    for i in loaded:
-        i_ph = phase_currents(loads_ph[i], vabc[i])
-        i_seq = A_ANA @ i_ph
-        s_total = loads_ph[i].sum()
-        i1_balanced = np.conj(s_total / v1[i])
-        inj[i, 0] -= i_seq[0]
-        inj[i, 1] -= i_seq[1] - i1_balanced
-        inj[i, 2] -= i_seq[2]
+    loaded = np.flatnonzero(np.abs(loads_ph).sum(axis=1) > 0)
+    s_ph = loads_ph[loaded]
+    i_seq = sequences_from_phases(phase_currents(s_ph, seq[loaded] @ A_SYN.T))
+    i_seq[:, 1] -= np.conj(s_ph.sum(axis=1) / v1[loaded])  # the balanced part NR carries
+    inj[loaded] -= i_seq
 
     for f, t, yoff in ops.coupled:
         dv = seq[f] - seq[t]  # (3,) sequence-domain across-voltages

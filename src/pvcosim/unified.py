@@ -91,7 +91,7 @@ class UnifiedOps:
         pcc_pos = np.array([pos[a.bus] for a in attachments], dtype=int)
         self.pcc_slots = 3 * pcc_pos[:, None] + np.arange(3)
         self.root_slots = np.array(
-            [t[a.ops.root] for a, t in zip(attachments, self.slots)], dtype=int
+            [t[a.ops.roots[0]] for a, t in zip(attachments, self.slots)], dtype=int
         ).reshape(-1, 3)
         self.ytr: list[complex] = []
 

@@ -4,7 +4,8 @@ Everything here is deliberately naive and shares no code with the
 package: Gauss-Seidel for the positive-sequence power flow, dense
 phase-frame fixed-point nodal solves, closed-form two-bus voltage,
 element-by-element admittance assembly, per-sequence branch flows,
-union-find sequence-network islands, the feeder sweep as a
+union-find sequence-network islands, compensation currents one bus and
+one branch at a time, the feeder sweep as a
 node-by-node tree walk, PV scenarios written into node loads, and the
 unified solve as a current-injection fixed point with a secant trim of
 the generators' reactive power.
@@ -149,6 +150,44 @@ def naive_branch_flows(br, vf, vt) -> np.ndarray:
         out[s, 0] = vf[s] * np.conj(i_f)
         out[s, 1] = vt[s] * np.conj(i_t)
     return out
+
+
+def per_bus_compensation(net, v0, v1, v2, loads_ph) -> np.ndarray:
+    """Sequence compensation current injections (n, 3), generator sign.
+
+    A loaded bus injects minus the sequence components of its
+    constant-power phase currents ``conj(3 s / v)``, less the balanced
+    positive-sequence current ``conj(sum(s) / v1)`` that the
+    positive-sequence Newton already carries. A coupled branch (unit tap)
+    drives the off-diagonal part of its inverse sequence impedance
+    matrix times the across-voltage out of its from bus and into its to
+    bus.
+    """
+    ana = np.conj(SYN) / 3  # the analysis matrix, SYN's inverse
+    pos = {b.id: i for i, b in enumerate(net.buses)}
+    inj = np.zeros((len(net.buses), 3), dtype=complex)
+    for i in range(len(net.buses)):
+        s = loads_ph[i]
+        if not np.any(s):
+            continue
+        v_ph = SYN @ np.array([v0[i], v1[i], v2[i]])
+        i_ph = np.array([np.conj(3 * s[k] / v_ph[k]) for k in range(3)])
+        i_seq = ana @ i_ph
+        i_seq[1] -= np.conj(sum(s) / v1[i])
+        inj[i] -= i_seq
+    for br in net.branches:
+        if not br.coupling:
+            continue
+        zm = np.diag([br.z0, br.z1, br.z2]).astype(complex)
+        for key, val in br.coupling.items():
+            zm[int(key[1]), int(key[2])] = val
+        ym = np.linalg.inv(zm)
+        f, t = pos[br.from_bus], pos[br.to_bus]
+        dv = np.array([v0[f] - v0[t], v1[f] - v1[t], v2[f] - v2[t]])
+        di = (ym - np.diag(np.diag(ym))) @ dv
+        inj[f] -= di
+        inj[t] += di
+    return inj
 
 
 def phase_frame_two_bus(

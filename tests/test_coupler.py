@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pvcosim import (
     attach,
     boundary_error,
+    coupler,
     equivalent_load,
     generate,
     load_feeder,
@@ -21,6 +22,7 @@ from pvcosim.coupler import (
     CosimNonConvergenceError,
     effective_network,
 )
+from pvcosim.feeder import forest
 from pvcosim.sequences import A_ANA, phases_from_sequences
 from pvcosim.transmission import SequenceOps, SolverOptions
 
@@ -119,16 +121,46 @@ def test_fixed_point_certificate_uses_feeder_max_iter(ieee9):
     opts = CoSimOptions(feeder_max_iter=400)
     res = run_step(ieee9, atts, 12, None, opts)
     assert res.feeder_solutions[1].iterations > CoSimOptions().feeder_max_iter
+    assert res.feeder_solutions[0].iterations < 5  # each attachment keeps its own count
     assert verify_fixed_point(ieee9, atts, res, opts) <= opts.tol_boundary
+
+
+def test_one_forest_sweep_per_boundary_round(ieee9, attachments, desk13, profile, monkeypatch):
+    calls = []
+    sweep = coupler.solve_feeder
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(coupler, "solve_feeder", counted)
+    s = generate(desk13, [60], 1, master_seed=2)[0]
+    res = run_step(ieee9, attachments, 12, [s, s, s], profile=profile)
+    assert len(calls) == res.fpi_iterations + 1
+    assert set(calls) == {(3, 3)}
+    assert [fs.node_ids for fs in res.feeder_solutions] == [a.ops.ids for a in attachments]
+
+
+def test_collapsing_feeder_among_healthy_ones_is_a_distribution_failure(ieee9, desk13):
+    from pvcosim.coupler import CosimError
+
+    sick = load_feeder(small_feeder(load_kw=4.0e5, load_kvar=2.0e5))
+    atts = [attach(ieee9, 5, desk13), attach(ieee9, 6, sick), attach(ieee9, 8, desk13)]
+    with pytest.raises(CosimError) as err:
+        run_step(ieee9, atts, 12, None)
+    assert err.value.side == "distribution"
 
 
 def test_prebuilt_sequence_ops_is_bit_identical(ieee9, attachments, desk13, profile):
     ops = SequenceOps(effective_network(ieee9, attachments))
+    feeder_ops = forest([a.ops for a in attachments])
     for level in (40, 100):
         s = generate(desk13, [level], 1, master_seed=3)[0]
         scen = [s, s, s]
         own = run_step(ieee9, attachments, 12, scen, profile=profile)
-        shared = run_step(ieee9, attachments, 12, scen, profile=profile, seq_ops=ops)
+        shared = run_step(
+            ieee9, attachments, 12, scen, profile=profile, seq_ops=ops, feeder_ops=feeder_ops
+        )
         assert own.fpi_iterations == shared.fpi_iterations
         assert len(own.boundary_history) == len(shared.boundary_history)
         for a, b in zip(own.boundary_history, shared.boundary_history):

@@ -13,6 +13,7 @@ from pvcosim import (
     solve_unified,
     unbalance_factor,
 )
+from pvcosim import coupler, driver
 from pvcosim.cli import main as cli_main
 from pvcosim.coupler import CoSimOptions
 from pvcosim.driver import (
@@ -23,7 +24,9 @@ from pvcosim.driver import (
     run,
     validate_config,
 )
+from pvcosim.feeder import forest
 from pvcosim.scenarios import feeder_seed, load_scenarios
+from pvcosim.transmission import SequenceOps
 from pvcosim.unified import UnifiedOps
 
 from .conftest import constant_load_feeder, small_feeder
@@ -374,6 +377,27 @@ def test_oracle_topology_built_once_per_run_and_only_for_the_oracle(monkeypatch)
     assert builds == []
     run(small_config(levels=(10, 20), mode="both"))
     assert len(builds) == 1
+
+
+def test_cosim_operators_built_once_per_run_and_not_for_the_oracle(monkeypatch):
+    builds = []
+    build_seq = SequenceOps.__init__
+
+    def counted_seq(self, *args, **kwargs):
+        builds.append("SequenceOps")
+        build_seq(self, *args, **kwargs)
+
+    def counted_forest(parts):
+        builds.append("forest")
+        return forest(parts)
+
+    monkeypatch.setattr(SequenceOps, "__init__", counted_seq)
+    monkeypatch.setattr(driver, "forest", counted_forest)
+    monkeypatch.setattr(coupler, "forest", counted_forest)
+    for mode in ("oracle", "cosim", "both"):
+        builds.clear()
+        run(small_config(levels=(10, 20), mode=mode))
+        assert sorted(builds) == ([] if mode == "oracle" else ["SequenceOps", "forest"]), mode
 
 
 def test_cli_compare(tmp_path, capsys):

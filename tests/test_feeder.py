@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pvcosim import generate, load_feeder, solve_feeder
-from pvcosim.feeder import FeederDataError, FeederOps, FeederSolveError, scenario_loads
+from pvcosim.feeder import FeederDataError, FeederOps, FeederSolveError, forest, scenario_loads
 from pvcosim.scenarios import GenerationProfile, PvScenario
 from pvcosim.sequences import phases_from_sequences
 
@@ -167,6 +167,84 @@ def test_sweep_matches_tree_walk_reference(desk13, profile, level, source_v):
     for key, i_ref in currents_ref.items():
         assert np.max(np.abs(sol.line_currents[key] - i_ref)) / i_base < 1e-12
     assert np.max(np.abs(sol.head_current - head_ref)) / i_base < 1e-12
+
+
+def assert_forest_matches_solo(parts, sources, loads, **kw):
+    """A forest sweep returns, per feeder, the bytes and iteration count
+    of that feeder's own solve."""
+    both = solve_feeder(forest(parts), np.array(sources), loads=np.concatenate(loads), **kw)
+    per_feeder = both.feeders()
+    assert len(per_feeder) == len(parts)
+    solos = [solve_feeder(ops, src, loads=ld, **kw) for ops, src, ld in zip(parts, sources, loads)]
+    for got, solo in zip(per_feeder, solos):
+        assert got.iterations == solo.iterations
+        for name in ("v", "pcc_power_kw", "head_current"):
+            assert getattr(got, name).tobytes() == getattr(solo, name).tobytes(), name
+        assert got.line_currents.keys() == solo.line_currents.keys()
+        for key, i in solo.line_currents.items():
+            assert got.line_currents[key].tobytes() == i.tobytes()
+    assert both.iterations == max(solo.iterations for solo in solos)
+    return solos
+
+
+def test_forest_matches_solo_desk13_copies(desk13, profile):
+    parts = [FeederOps(desk13) for _ in range(3)]
+    sources = [
+        phases_from_sequences(0.01 + 0.005j, 1.02, 0.02 - 0.01j),
+        phases_from_sequences(0.0, 0.97 - 0.03j, 0.01j),
+        phases_from_sequences(-0.004, 1.05, -0.015),
+    ]
+    loads = [
+        scenario_loads(ops, generate(desk13, [level], 1, master_seed=9)[0], 12, profile)
+        for ops, level in zip(parts, (30, 70, 100))
+    ]
+    assert_forest_matches_solo(parts, sources, loads)
+
+
+def test_forest_matches_solo_at_very_different_iteration_counts():
+    # The slow feeder sits near its collapse point and needs far more
+    # rounds than the heavy one, which stays frozen meanwhile.
+    heavy = FeederOps(load_feeder(constant_load_feeder(150e3, 60e3)))
+    slow = FeederOps(load_feeder(small_feeder(load_kw=2235.0, load_kvar=894.0, z_ohm=(20.0, 40.0))))
+    sources = [phases_from_sequences(0.0, 1.0, 0.01), phases_from_sequences(0.0, 0.976, 0.0)]
+    solos = assert_forest_matches_solo(
+        [heavy, slow], sources, [heavy.loads, slow.loads], max_iter=400
+    )
+    assert solos[0].iterations < 5 and solos[1].iterations > 60
+
+
+def at_kv(text: str, kv_base: float) -> str:
+    doc = json.loads(text)
+    doc["kv_base"] = kv_base
+    return json.dumps(doc)
+
+
+def test_forest_matches_solo_across_kv_bases(desk13):
+    parts = [
+        FeederOps(load_feeder(at_kv(small_feeder(load_kw=1000.0, load_kvar=400.0), 12.47))),
+        FeederOps(desk13),
+        FeederOps(load_feeder(at_kv(constant_load_feeder(1000.0, 300.0), 4.16))),
+    ]
+    assert len({ops.v_ln[0] for ops in parts}) == 3
+    sources = [BAL, phases_from_sequences(0.0, 1.01, 0.02), 0.98 * BAL]
+    assert_forest_matches_solo(parts, sources, [ops.loads for ops in parts], tol=1e-10)
+
+
+def test_forest_source_shape(desk13):
+    ops = FeederOps(desk13)
+    two = forest([ops, ops])
+    with pytest.raises(ValueError, match="per feeder"):
+        solve_feeder(two, BAL)
+    one = solve_feeder(forest([ops]), BAL[None, :])
+    assert one.pcc_power_kw.shape == (1, 3)
+    assert solve_feeder(ops, BAL).pcc_power_kw.tobytes() == one.pcc_power_kw[0].tobytes()
+
+
+def test_forest_collapse_next_to_healthy_feeders(desk13):
+    sick = FeederOps(load_feeder(small_feeder(load_kw=60000.0, load_kvar=30000.0)))
+    ops = FeederOps(desk13)
+    with pytest.raises(FeederSolveError, match="collapse|converge"):
+        solve_feeder(forest([ops, sick, ops]), np.tile(BAL, (3, 1)))
 
 
 def test_pcc_power_zero_load():

@@ -7,6 +7,7 @@ import pytest
 from pvcosim import (
     build_sequence_admittance,
     compensation_currents,
+    data_path,
     load_network,
     solve_positive_nr,
     solve_sequence_linear,
@@ -21,12 +22,19 @@ from pvcosim.transmission import (
     SequenceSolveError,
     SingularJacobianError,
     SolverOptions,
+    _compensation_arrays,
     _LinearSequenceSolver,
     branch_flows,
 )
 
 from .conftest import island_variants, two_bus_case
-from .oracles import gauss_seidel, naive_branch_flows, phase_frame_two_bus, union_find_islands
+from .oracles import (
+    gauss_seidel,
+    naive_branch_flows,
+    per_bus_compensation,
+    phase_frame_two_bus,
+    union_find_islands,
+)
 
 # Receiving-end voltage of the standard two-bus fixture, computed once
 # with the Gauss-Seidel reference to 1e-14 and frozen.
@@ -250,6 +258,37 @@ def test_compensation_unbalanced_load_excites_negative_sequence():
     inj = compensation_currents(net, _flat_seq_voltages(net), pcc_loads=pcc)
     assert abs(inj[2].negative) > 1e-4
     assert abs(inj[2].positive) < 1e-12  # balanced correction is zero at V2=0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compensation_arrays_match_per_bus_loop(seed):
+    # Random unbalanced loads on every bus but one, random sequence
+    # voltages, and one branch with inter-sequence coupling.
+    doc = json.loads(data_path("ieee9.json").read_text())
+    doc["branches"][3]["coupling"] = {"z12": [0.002, 0.015], "z20": [0.001, -0.004]}
+    net = load_network(json.dumps(doc))
+    ops = SequenceOps(net)
+    assert ops.coupled
+    rng = np.random.default_rng(seed)
+    n = ops.n
+    loads = rng.uniform(-1, 1, (n, 3)) + 1j * rng.uniform(-1, 1, (n, 3))
+    loads[8] = 0  # one unloaded row, on no coupled branch
+    v0, v2 = (0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(2))
+    v1 = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
+
+    got = _compensation_arrays(ops, v0, v1, v2, loads)
+    ref = per_bus_compensation(net, v0, v1, v2, loads)
+    assert np.all(got[8] == 0)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_compensation_zero_phase_voltage_under_load_raises():
+    ops = SequenceOps(load_network(two_bus_case(load_p=0.0, load_q=0.0)))
+    loads = np.array([[0, 0, 0], [0.1, 0.1, 0.1]], dtype=complex)
+    v1 = np.ones(2, dtype=complex)
+    v0 = np.array([0, -1], dtype=complex)  # phase a of bus 2 at zero volts
+    with pytest.raises(ZeroDivisionError):
+        _compensation_arrays(ops, v0, v1, np.zeros(2, dtype=complex), loads)
 
 
 # ---------------------------------------------------------------------------
