@@ -7,7 +7,6 @@ boundary variables as they settle.
 
 from pvcosim import (
     attach,
-    boundary_error,
     data_path,
     generate,
     load_feeder_file,
@@ -33,9 +32,8 @@ result = run_step(net, attachments, hour=12, scenario_per_feeder=scenarios, prof
 
 print(f"\nconverged in {result.fpi_iterations} boundary iterations")
 print(f"{'iter':>4} {'error':>10}   per-PCC total P (pu)          per-PCC |V| phase a")
-hist = result.boundary_history
-for k, state in enumerate(hist):
-    err = "" if k == 0 else f"{boundary_error(hist[k - 1], state):.2e}"
+for k, state in enumerate(result.boundary_history):
+    err = "" if state.error is None else f"{state.error:.2e}"
     p = "  ".join(f"{row.real.sum():+0.4f}" for row in state.s_phase)
     v = "  ".join(f"{abs(row[0]):.5f}" for row in state.v_phase)
     print(f"{k:>4} {err:>10}   {p}   {v}")

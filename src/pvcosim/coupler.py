@@ -1,12 +1,14 @@
 """One co-simulation time step: alternating T&D solves with boundary exchange.
 
-Each fixed-point iteration solves the transmission system with the
-last-known per-phase equivalent loads at every PCC, then re-solves all
-attached feeders against the fresh PCC phase voltages, in one forest
-sweep (``feeder.forest``) per iteration. The iteration
-stops when no boundary variable (phase voltage or phase power, both in
-per-unit) moves by more than the boundary tolerance between consecutive
-iterations.
+One boundary iteration is two half-steps. ``_solve_transmission`` solves
+the transmission system at the last per-phase PCC powers and returns the
+PCC phase voltages; ``_solve_feeders`` sweeps all attached feeders at
+those voltages, in one forest sweep (``feeder.forest``), and returns the
+PCC powers. ``run_step`` repeats the pair until no boundary variable
+(phase voltage or phase power, both in per-unit) moves by more than the
+boundary tolerance between consecutive iterations; each
+``BoundaryState`` carries that change as its ``error``.
+``verify_fixed_point`` runs the same pair once at the final boundary.
 
 Attaching a feeder to a bus replaces that bus's static load; the
 substation transformer ratio is nominal, so per-unit voltages map
@@ -107,21 +109,21 @@ class BoundaryState:
     v_phase: np.ndarray  # (n_att, 3) complex
     s_phase: np.ndarray  # (n_att, 3) complex
     iteration: int
+    error: float | None = None  # boundary_error from the previous state; None at iteration 0
 
 
 @dataclass(frozen=True)
 class CoSimOptions:
     tol_boundary: float = 1e-4
     max_fpi: int = 20
-    under_relaxation: float = 1.0
     feeder_tol: float = 1e-7
     feeder_max_iter: int = 60
 
     def __post_init__(self):
         if self.tol_boundary <= 0:
             raise ValueError("tol_boundary must be positive")
-        if not 0 < self.under_relaxation <= 1:
-            raise ValueError("under_relaxation must be in (0, 1]")
+        if self.max_fpi < 1:
+            raise ValueError("max_fpi must be at least 1")
 
 
 @dataclass
@@ -145,15 +147,19 @@ def boundary_error(prev: BoundaryState, curr: BoundaryState) -> float:
     return max(dv, ds)
 
 
-def equivalent_load(fs: FeederSolution, att: Attachment) -> np.ndarray:
-    """Feeder PCC power as a per-phase system-pu triple."""
-    return fs.pcc_power_kw / (1e3 * att.mva_base)
+def equivalent_load(fs: FeederSolution, attachments) -> np.ndarray:
+    """Feeder PCC powers as per-phase system-pu rows, one per attachment."""
+    base = np.array([[1e3 * att.mva_base] for att in attachments])
+    return fs.pcc_power_kw / base
 
 
-def source_voltage(ts: SeqSolution, att: Attachment) -> np.ndarray:
-    """PCC phase voltages (pu) seen by the feeder for a transmission solve."""
-    i = ts.index_of(att.bus)
-    return phases_from_sequences(ts.v0[i], ts.v1[i], ts.v2[i])
+def source_voltage(ts: SeqSolution, attachments) -> np.ndarray:
+    """PCC phase voltages (pu) seen by the feeders, one row per attachment."""
+    i = [ts.index_of(att.bus) for att in attachments]
+    # Stacked as (k, 1, 3): each row then goes through the same
+    # vector-matrix product as a single PCC would.
+    seq = [v[i][:, None] for v in (ts.v0, ts.v1, ts.v2)]
+    return phases_from_sequences(*seq)[:, 0]
 
 
 def effective_network(net: TransmissionNetwork, attachments) -> TransmissionNetwork:
@@ -190,6 +196,20 @@ def _pcc_loads(attachments, s_rows: np.ndarray) -> dict[int, np.ndarray]:
     return pcc
 
 
+def _solve_transmission(
+    attachments, s_rows: np.ndarray, ops: SequenceOps, solver_opts: SolverOptions, start
+) -> tuple[SeqSolution, np.ndarray]:
+    """Solve the effective network (``ops.net``) at the PCC powers; return
+    the solution and the per-attachment PCC phase voltages."""
+    try:
+        seq_sol = solve_three_sequence(
+            ops.net, _pcc_loads(attachments, s_rows), solver_opts, ops=ops, start=start
+        )
+    except PowerFlowError as exc:
+        raise CosimError(str(exc), side="transmission") from exc
+    return seq_sol, source_voltage(seq_sol, attachments)
+
+
 def _solve_feeders(
     attachments, feeder_ops: FeederOps, loads: np.ndarray, v_rows: np.ndarray, opts: CoSimOptions
 ) -> tuple[FeederSolution, np.ndarray]:
@@ -201,8 +221,7 @@ def _solve_feeders(
         )
     except Exception as exc:
         raise CosimError(str(exc), side="distribution") from exc
-    base = np.array([[1e3 * att.mva_base] for att in attachments])
-    return fsol, fsol.pcc_power_kw / base
+    return fsol, equivalent_load(fsol, attachments)
 
 
 def run_step(
@@ -219,52 +238,35 @@ def run_step(
 ) -> CoSimResult:
     """Run one quasi-static co-simulation step to boundary convergence.
 
-    ``seq_ops`` (of the effective network) and ``feeder_ops`` (the forest
-    of the attachments' operators, in order) are built here when not
-    given.
+    ``seq_ops`` (of the effective network, on which the step then solves)
+    and ``feeder_ops`` (the forest of the attachments' operators, in
+    order) are built here when not given.
     """
     opts = opts or CoSimOptions()
     solver_opts = solver_opts or SolverOptions()
     attachments = list(attachments)
     loads = np.concatenate(_feeder_loads(attachments, scenario_per_feeder, hour, profile))
-
-    net_eff = effective_network(net, attachments)
-    seq_ops = seq_ops if seq_ops is not None else SequenceOps(net_eff)
+    if seq_ops is None:
+        seq_ops = SequenceOps(effective_network(net, attachments))
     if feeder_ops is None:
         feeder_ops = forest([att.ops for att in attachments])
 
-    n_att = len(attachments)
-    v_rows = np.tile(_NOMINAL_V, (n_att, 1))
-
     # Decoupled first solves: each feeder at nominal balanced voltage.
+    v_rows = np.tile(_NOMINAL_V, (len(attachments), 1))
     fsol, s_rows = _solve_feeders(attachments, feeder_ops, loads, v_rows, opts)
-    history = [BoundaryState(v_phase=v_rows.copy(), s_phase=s_rows.copy(), iteration=0)]
+    history = [BoundaryState(v_phase=v_rows, s_phase=s_rows, iteration=0)]
 
     seq_sol: SeqSolution | None = None
-    converged = False
-    err = np.inf
     for it in range(1, opts.max_fpi + 1):
-        try:
-            seq_sol = solve_three_sequence(
-                net_eff, _pcc_loads(attachments, s_rows), solver_opts, ops=seq_ops, start=seq_sol
-            )
-        except PowerFlowError as exc:
-            raise CosimError(str(exc), side="transmission") from exc
-
-        v_rows = np.array([source_voltage(seq_sol, att) for att in attachments])
-        fsol, s_new = _solve_feeders(attachments, feeder_ops, loads, v_rows, opts)
-        lam = opts.under_relaxation
-        s_rows = lam * s_new + (1.0 - lam) * s_rows
-
-        state = BoundaryState(v_phase=v_rows.copy(), s_phase=s_rows.copy(), iteration=it)
-        err = boundary_error(history[-1], state)
+        seq_sol, v_rows = _solve_transmission(attachments, s_rows, seq_ops, solver_opts, seq_sol)
+        fsol, s_rows = _solve_feeders(attachments, feeder_ops, loads, v_rows, opts)
+        state = BoundaryState(v_phase=v_rows, s_phase=s_rows, iteration=it)
+        state = replace(state, error=boundary_error(history[-1], state))
         history.append(state)
-        if err <= opts.tol_boundary:
-            converged = True
+        if state.error <= opts.tol_boundary:
             break
-
-    if not converged:
-        raise CosimNonConvergenceError(opts.max_fpi, err, tuple(history))
+    else:
+        raise CosimNonConvergenceError(opts.max_fpi, history[-1].error, tuple(history))
 
     return CoSimResult(
         seq_solution=seq_sol,
@@ -285,7 +287,8 @@ def verify_fixed_point(
     scenario_per_feeder=None,
     solver_opts: SolverOptions | None = None,
 ) -> float:
-    """Re-solve both sides at the converged boundary; return the max shift.
+    """Run both half-steps once at the converged boundary; return how far
+    they move it (``boundary_error``).
 
     A sound fixed point moves no boundary variable by more than the
     boundary tolerance.
@@ -296,13 +299,10 @@ def verify_fixed_point(
     final = result.final_boundary
 
     loads = np.concatenate(_feeder_loads(attachments, scenario_per_feeder, hour, profile))
-    seq_sol = solve_three_sequence(
-        effective_network(net, attachments),
-        _pcc_loads(attachments, final.s_phase),
-        solver_opts,
-        start=result.seq_solution,
+    seq_ops = SequenceOps(effective_network(net, attachments))
+    _, v_rows = _solve_transmission(
+        attachments, final.s_phase, seq_ops, solver_opts, result.seq_solution
     )
-    v_rows = np.array([source_voltage(seq_sol, att) for att in attachments])
     feeder_ops = forest([att.ops for att in attachments])
     _, s_rows = _solve_feeders(attachments, feeder_ops, loads, final.v_phase, opts)
     state = BoundaryState(v_phase=v_rows, s_phase=s_rows, iteration=final.iteration + 1)

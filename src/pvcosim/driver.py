@@ -3,9 +3,11 @@
 ``run`` drives the co-simulation (and optionally the unified solve)
 over a (scenario, level, hour) grid, isolating per-run failures, and
 returns a ``ResultSet`` whose CSV/JSON emission is bit-reproducible for
-a fixed configuration and master seed. Wall-clock timings are kept out
-of ``results.csv`` and ``aggregates.json`` (they go to the iteration
-trace) so replays compare byte-for-byte.
+a fixed configuration and master seed. Each record keeps its case's
+boundary history, failed cases included, and ``emit`` writes the
+iteration trace from it. Wall-clock timings are kept out of
+``results.csv`` and ``aggregates.json`` (they go to the trace) so
+replays compare byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import data_path
-from .coupler import CoSimOptions, attach, boundary_error, effective_network, run_step
+from .coupler import (
+    BoundaryState,
+    CoSimOptions,
+    CosimNonConvergenceError,
+    attach,
+    effective_network,
+    run_step,
+)
 from .feeder import forest, load_feeder_file
 from .network import load_network_file
 from .scenarios import PvScenario, feeder_seed, generate, load_profile_file
@@ -130,6 +139,7 @@ class RunRecord:
     oracle_v1: tuple[complex, ...] | None = None
     oracle_diff: float | None = None
     error: str | None = None
+    boundary_history: tuple[BoundaryState, ...] = ()  # the co-simulation's, for the trace
 
 
 @dataclass
@@ -137,7 +147,6 @@ class ResultSet:
     config: RunConfig
     records: list[RunRecord]
     baseline: dict[int, RunRecord]  # hour -> no-PV record
-    trace: list[dict]
 
     def aggregates(self) -> dict:
         """Per-level means recomputed from the raw records, plus the
@@ -197,7 +206,8 @@ class _Runner:
         self.cfg = cfg
         self.net = load_network_file(cfg.network)
         self.profile = load_profile_file(cfg.profile)
-        self.feeders = [load_feeder_file(path) for path, _ in cfg.feeders]
+        parsed = {p: load_feeder_file(p) for p in dict.fromkeys(p for p, _ in cfg.feeders)}
+        self.feeders = [parsed[path] for path, _ in cfg.feeders]
         self.attachments = [
             attach(self.net, bus, f) for (_, bus), f in zip(cfg.feeders, self.feeders)
         ]
@@ -235,7 +245,7 @@ class _Runner:
             return [None] * len(self.attachments)
         return [tab[(sid, level)] for tab in self.scenarios]
 
-    def run_case(self, sid: int, level: int, hour: int) -> tuple[RunRecord, list[dict]]:
+    def run_case(self, sid: int, level: int, hour: int) -> RunRecord:
         cfg = self.cfg
         t0 = time.perf_counter()
         scen = self.scenario_list(sid, level)
@@ -243,8 +253,7 @@ class _Runner:
 
         if cfg.mode == "oracle":
             us = self.oracle(hour, scen)
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            record = RunRecord(
+            return RunRecord(
                 scenario_id=sid,
                 level=level,
                 hour=hour,
@@ -256,10 +265,9 @@ class _Runner:
                 slack_q=float(us.slack_power_pu.imag),
                 flow_signs={},
                 fpi_iterations=0,
-                wall_ms=wall_ms,
+                wall_ms=(time.perf_counter() - t0) * 1e3,
                 oracle_v1=tuple(us.positive_sequence(b) for b in buses),
             )
-            return record, []
 
         result = run_step(
             self.net,
@@ -294,6 +302,7 @@ class _Runner:
             flow_signs=signs,
             fpi_iterations=result.fpi_iterations,
             wall_ms=wall_ms,
+            boundary_history=result.boundary_history,
         )
         if cfg.mode == "both":
             # A failed oracle fails the case but keeps the co-simulation's results.
@@ -306,39 +315,21 @@ class _Runner:
                 record.oracle_v1 = tuple(r["v_unified"] for r in rep["per_pcc"])
                 record.oracle_diff = float(rep["max_diff"])
 
-        trace_rows = []
-        hist = result.boundary_history
-        for k, st in enumerate(hist):
-            err = None if k == 0 else boundary_error(hist[k - 1], st)
-            trace_rows.append(
-                {
-                    "scenario": sid,
-                    "level": level,
-                    "hour": hour,
-                    "fpi": st.iteration,
-                    "v": [[c_str(x) for x in row] for row in st.v_phase],
-                    "s": [[c_str(x) for x in row] for row in st.s_phase],
-                    "err": None if err is None else float(err),
-                    "wall_ms": round(wall_ms, 3),
-                }
-            )
-        return record, trace_rows
-
-
-def c_str(x: complex) -> str:
-    return f"{x.real:.10g}{x.imag:+.10g}j"
+        return record
 
 
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _safe_case(runner: _Runner, sid: int, level: int, hour: int):
-    """Run one case under per-run isolation: failures become error records."""
+def _safe_case(runner: _Runner, sid: int, level: int, hour: int) -> RunRecord:
+    """Run one case under per-run isolation: failures become error records,
+    which keep the boundary history of a co-simulation that did not converge."""
+    t0 = time.perf_counter()
     try:
         return runner.run_case(sid, level, hour)
     except Exception as exc:
-        rec = RunRecord(
+        return RunRecord(
             scenario_id=sid,
             level=level,
             hour=hour,
@@ -350,10 +341,10 @@ def _safe_case(runner: _Runner, sid: int, level: int, hour: int):
             slack_q=0.0,
             flow_signs={},
             fpi_iterations=0,
-            wall_ms=0.0,
+            wall_ms=(time.perf_counter() - t0) * 1e3,
             error=_error_text(exc),
+            boundary_history=exc.history if isinstance(exc, CosimNonConvergenceError) else (),
         )
-        return rec, []
 
 
 def _run_chunk(cfg: RunConfig, cases: list[tuple[int, int, int]]):
@@ -370,12 +361,7 @@ def run(config: RunConfig) -> ResultSet:
     # baseline is recorded like any other failed run; when its
     # co-simulation failed it has no flow signs, and reverse-flow flags
     # then fall back to "no reference, no flag".
-    baseline: dict[int, RunRecord] = {}
-    trace: list[dict] = []
-    for hour in config.hours:
-        rec, tr = _safe_case(runner, 0, 0, hour)
-        baseline[hour] = rec
-        trace.extend(tr)
+    baseline = {hour: _safe_case(runner, 0, 0, hour) for hour in config.hours}
 
     cases = [
         (sid, level, hour)
@@ -385,18 +371,15 @@ def run(config: RunConfig) -> ResultSet:
     ]
     if config.jobs > 1 and len(cases) > 1:
         chunks = [cases[i :: config.jobs] for i in range(config.jobs)]
-        results = []
+        records = []
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             for part in pool.map(_run_chunk, [config] * len(chunks), chunks):
-                results.extend(part)
+                records.extend(part)
     else:
-        results = [_safe_case(runner, sid, level, hour) for sid, level, hour in cases]
+        records = [_safe_case(runner, sid, level, hour) for sid, level, hour in cases]
 
-    records = [r for r, _ in results]
-    for _, tr in results:
-        trace.extend(tr)
     records.sort(key=lambda r: (r.scenario_id, r.level, r.hour))
-    return ResultSet(config=config, records=records, baseline=baseline, trace=trace)
+    return ResultSet(config=config, records=records, baseline=baseline)
 
 
 def detect_reverse_flow(results: ResultSet) -> dict[tuple[int, int, int], dict]:
@@ -439,6 +422,10 @@ def oracle_rows(results: ResultSet):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def c_str(x: complex) -> str:
+    return f"{x.real:.10g}{x.imag:+.10g}j"
 
 
 def emit(results: ResultSet, out_dir) -> dict[str, Path]:
@@ -510,8 +497,19 @@ def emit(results: ResultSet, out_dir) -> dict[str, Path]:
 
     trace_jsonl = out / "trace.jsonl"
     with open(trace_jsonl, "w", encoding="utf-8") as fh:
-        for row in results.trace:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        for rec in [*results.baseline.values(), *results.records]:
+            for st in rec.boundary_history:
+                row = {
+                    "scenario": rec.scenario_id,
+                    "level": rec.level,
+                    "hour": rec.hour,
+                    "fpi": st.iteration,
+                    "v": [[c_str(x) for x in r] for r in st.v_phase],
+                    "s": [[c_str(x) for x in r] for r in st.s_phase],
+                    "err": st.error,
+                    "wall_ms": round(rec.wall_ms, 3),
+                }
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
 
     plot_v = out / "plot_voltage.csv"
     with open(plot_v, "w", encoding="utf-8", newline="\n") as fh:

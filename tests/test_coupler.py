@@ -19,6 +19,7 @@ from pvcosim import (
 from pvcosim.coupler import (
     BoundaryState,
     CoSimOptions,
+    CosimError,
     CosimNonConvergenceError,
     effective_network,
 )
@@ -111,6 +112,22 @@ def test_fixed_point_certificate(ieee9, attachments, base_result):
     assert shift <= CoSimOptions().tol_boundary
 
 
+def test_fixed_point_certificate_tags_transmission_failures(ieee9, attachments, base_result):
+    with pytest.raises(CosimError) as err:
+        verify_fixed_point(
+            ieee9, attachments, base_result, solver_opts=SolverOptions(max_outer=1)
+        )
+    assert err.value.side == "transmission"
+
+
+def test_boundary_history_carries_each_error_once(base_result):
+    hist = base_result.boundary_history
+    assert hist[0].error is None
+    for prev, state in zip(hist, hist[1:]):
+        assert state.error == boundary_error(prev, state)
+    assert hist[-1].error <= CoSimOptions().tol_boundary
+
+
 def test_fixed_point_certificate_uses_feeder_max_iter(ieee9):
     # A heavy balanced load pulls the PCC down, which leaves the small
     # single-phase feeder close to its voltage-collapse point: its sweep
@@ -165,6 +182,7 @@ def test_prebuilt_sequence_ops_is_bit_identical(ieee9, attachments, desk13, prof
         assert len(own.boundary_history) == len(shared.boundary_history)
         for a, b in zip(own.boundary_history, shared.boundary_history):
             assert a.iteration == b.iteration
+            assert a.error == b.error
             assert a.v_phase.tobytes() == b.v_phase.tobytes()
             assert a.s_phase.tobytes() == b.s_phase.tobytes()
 
@@ -181,17 +199,9 @@ def test_boundary_conservation(ieee9, attachments, base_result):
         assert np.max(np.abs(served - final.s_phase[k])) <= 10 * tol
 
 
-def test_under_relaxation_neutral_at_convergence(ieee9, attachments):
-    results = {}
-    for lam in (1.0, 0.7, 0.5):
-        opts = CoSimOptions(under_relaxation=lam)
-        results[lam] = run_step(ieee9, attachments, 12, None, opts)
-    ref = results[1.0].final_boundary
-    tol = CoSimOptions().tol_boundary
-    for lam, res in results.items():
-        fb = res.final_boundary
-        assert np.max(np.abs(fb.v_phase - ref.v_phase)) <= tol
-        assert np.max(np.abs(fb.s_phase - ref.s_phase)) <= tol
+def test_max_fpi_must_allow_one_iteration():
+    with pytest.raises(ValueError, match="max_fpi"):
+        CoSimOptions(max_fpi=0)
 
 
 def test_non_convergence_carries_history(ieee9, attachments):
@@ -247,7 +257,8 @@ def test_equivalent_load_zero_feeder(ieee9):
     from pvcosim import solve_feeder
 
     fs = solve_feeder(feeder, phases_from_sequences(0.0, 1.0, 0.0))
-    s = equivalent_load(fs, att)
+    s = equivalent_load(fs, [att])
+    assert s.shape == (1, 3)
     assert np.max(np.abs(s)) < 1e-10
 
 
@@ -260,7 +271,7 @@ def test_equivalent_load_balanced_feeder_has_no_negative_sequence(ieee9, desk13)
     from pvcosim.sequences import phase_currents
 
     fs = solve_feeder(feeder, phases_from_sequences(0.0, 1.0, 0.0))
-    s = equivalent_load(fs, att)
+    (s,) = equivalent_load(fs, [att])
     i_ph = phase_currents(s, phases_from_sequences(0.0, 1.0, 0.0))
     i_seq = A_ANA @ i_ph
     assert abs(i_seq[0]) < 1e-9
@@ -291,10 +302,12 @@ def test_unbalanced_feeder_excites_negative_sequence_at_pcc(ieee9):
 def test_source_voltage_balanced(base_result, attachments):
     sol = base_result.seq_solution
 
-    v = source_voltage(sol, attachments[0])
-    i = sol.index_of(attachments[0].bus)
-    expected = phases_from_sequences(sol.v0[i], sol.v1[i], sol.v2[i])
-    assert np.allclose(v, expected, atol=1e-15)
+    v = source_voltage(sol, attachments)
+    assert v.shape == (len(attachments), 3)
+    for row, att in zip(v, attachments):
+        i = sol.index_of(att.bus)
+        expected = phases_from_sequences(sol.v0[i], sol.v1[i], sol.v2[i])
+        assert row.tobytes() == expected.tobytes()
 
 
 def test_source_voltage_reconstruction_spread():
@@ -316,7 +329,7 @@ def test_source_voltage_reconstruction_spread():
     class Att:
         bus = 5
 
-    v = source_voltage(sol, Att())
+    (v,) = source_voltage(sol, [Att()])
     mags = np.abs(v)
     assert mags.max() - mags.min() <= 2 * 0.002 + 1e-12
     assert mags.max() - mags.min() > 0

@@ -90,9 +90,7 @@ def test_emit_files(tmp_path, small_results):
 def test_empty_resultset_emits_headers(tmp_path, small_results):
     from pvcosim.driver import ResultSet
 
-    empty = ResultSet(
-        config=small_results.config, records=[], baseline=small_results.baseline, trace=[]
-    )
+    empty = ResultSet(config=small_results.config, records=[], baseline=small_results.baseline)
     paths = emit(empty, tmp_path / "empty")
     text = paths["results"].read_text().splitlines()
     assert len(text) == 1 and text[0].startswith("scenario,")
@@ -182,6 +180,58 @@ def test_per_run_isolation():
     with tempfile.TemporaryDirectory() as d:
         paths = emit(rs, d)
         assert paths["results"].exists()
+
+
+def _trace_rows(path):
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def test_trace_rows_are_the_boundary_histories(tmp_path):
+    rs = run(small_config(levels=(10, 50)))
+    rows = _trace_rows(emit(rs, tmp_path)["trace"])
+    expected = [
+        (rec, st) for rec in [*rs.baseline.values(), *rs.records] for st in rec.boundary_history
+    ]
+    assert len(rows) == len(expected) > 0
+    for row, (rec, st) in zip(rows, expected):
+        key = [rec.scenario_id, rec.level, rec.hour]
+        assert [row["scenario"], row["level"], row["hour"]] == key
+        assert row["fpi"] == st.iteration
+        assert row["err"] == st.error
+        for name, arr in (("v", st.v_phase), ("s", st.s_phase)):
+            got = np.array([[complex(x) for x in r] for r in row[name]])
+            np.testing.assert_allclose(got, arr, rtol=1e-9, atol=0)
+
+
+def test_failed_case_keeps_its_boundary_history(tmp_path):
+    cfg = small_config(coupler=CoSimOptions(max_fpi=2, tol_boundary=1e-12))
+    rs = run(cfg)
+    (rec,) = rs.records
+    assert rec.error.startswith("CosimNonConvergenceError: ")
+    rows = [
+        row
+        for row in _trace_rows(emit(rs, tmp_path)["trace"])
+        if (row["scenario"], row["level"]) == (rec.scenario_id, rec.level)
+    ]
+    assert [row["fpi"] for row in rows] == [0, 1, 2]
+    assert rows[0]["err"] is None
+    assert all(row["err"] is not None and row["err"] > 1e-12 for row in rows[1:])
+
+
+def test_each_feeder_file_parsed_once(monkeypatch):
+    parsed = []
+    load = driver.load_feeder_file
+
+    def counted(path):
+        parsed.append(path)
+        return load(path)
+
+    monkeypatch.setattr(driver, "load_feeder_file", counted)
+    cfg = small_config()
+    runner = _Runner(cfg)
+    assert parsed == [str(data_path("desk13.json"))]
+    assert len(runner.attachments) == len(cfg.feeders) == 3
 
 
 def test_config_from_file(tmp_path):
@@ -346,9 +396,6 @@ def test_both_mode_keeps_cosim_when_oracle_fails(tmp_path):
         cfg = one_feeder_config(tmp_path, "feeder.json", levels=[10], mode=mode)
         return run(RunConfig.from_file(cfg))
 
-    def without_wall(rows):
-        return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
-
     cosim, both = sweep("cosim"), sweep("both")
     assert len(both.records) == 1
     for ref, rec in ((cosim.baseline[12], both.baseline[12]), (cosim.records[0], both.records[0])):
@@ -358,7 +405,11 @@ def test_both_mode_keeps_cosim_when_oracle_fails(tmp_path):
         assert rec.v_phase.tobytes() == ref.v_phase.tobytes()
         assert rec.s_phase.tobytes() == ref.s_phase.tobytes()
         assert rec.fpi_iterations == ref.fpi_iterations
-    assert without_wall(both.trace) == without_wall(cosim.trace) != []
+        assert len(rec.boundary_history) == len(ref.boundary_history) > 0
+        for a, b in zip(rec.boundary_history, ref.boundary_history):
+            assert a.v_phase.tobytes() == b.v_phase.tobytes()
+            assert a.s_phase.tobytes() == b.s_phase.tobytes()
+            assert a.error == b.error
     # The oracle's topology build failed in the baseline case; the next
     # case builds it again and fails with the same text.
     assert both.records[0].error == both.baseline[12].error
