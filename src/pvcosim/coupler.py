@@ -17,7 +17,7 @@ one-to-one across the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,8 +78,11 @@ class CosimNonConvergenceError(CosimError):
 class Attachment:
     bus: int
     feeder: FeederModel
-    ops: FeederOps = field(compare=False, repr=False)  # the feeder's sweep operator
     mva_base: float = 100.0
+
+    @property
+    def ops(self) -> FeederOps:  # the feeder's sweep operator, one per model
+        return self.feeder.ops
 
 
 def attach(net: TransmissionNetwork, bus_id: int, feeder: FeederModel) -> Attachment:
@@ -89,12 +92,7 @@ def attach(net: TransmissionNetwork, bus_id: int, feeder: FeederModel) -> Attach
         raise ValueError(f"unknown bus {bus_id}")
     if bus.kind != "pq":
         raise ValueError(f"PCC bus {bus_id} must be a pq bus, is {bus.kind}")
-    return Attachment(
-        bus=bus_id,
-        feeder=feeder,
-        ops=FeederOps(feeder),
-        mva_base=net.mva_base,
-    )
+    return Attachment(bus=bus_id, feeder=feeder, mva_base=net.mva_base)
 
 
 @dataclass(frozen=True)

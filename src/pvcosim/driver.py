@@ -12,6 +12,7 @@ replays compare byte-for-byte.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -117,6 +118,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("levels must be non-empty")
     if cfg.mode not in ("cosim", "oracle", "both"):
         raise ValueError(f"unknown mode {cfg.mode!r}")
+    if not all(0 <= h <= 23 for h in cfg.hours):
+        raise ValueError(f"hours must lie in 0..23, got {cfg.hours}")
     for p in [cfg.network, cfg.profile] + [f for f, _ in cfg.feeders]:
         if not Path(p).exists():
             raise FileNotFoundError(f"configured file missing: {p}")
@@ -485,10 +488,11 @@ def emit(results: ResultSet, out_dir) -> dict[str, Path]:
         rows.append(row)
 
     results_csv = out / "results.csv"
-    with open(results_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    with open(results_csv, "w", encoding="utf-8", newline="") as fh:
+        # Minimal quoting: a comma in an error message stays in its column.
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
     agg = results.aggregates()
     aggregates_json = out / "aggregates.json"

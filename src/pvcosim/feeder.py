@@ -7,12 +7,13 @@ works in volts and ohms; the source voltage at the PCC is given in
 per-unit of the feeder line-to-neutral base (the substation transformer
 ratio is nominal, so transmission per-unit maps one-to-one).
 
-``FeederOps`` holds one feeder's sweep operator; ``forest`` stacks
-several into one operator with block-diagonal sweep matrices, so
-``solve_feeder`` sweeps every feeder attached to a transmission system
-in one loop. A single feeder is a forest of one. Convergence is per
-feeder: a feeder that has converged keeps the iterate of that round, so
-each feeder's result is the one its own solve would give.
+``FeederOps`` holds one feeder's sweep operator, built once per model
+(``FeederModel.ops``); ``forest`` stacks several into one operator with
+block-diagonal sweep matrices, so ``solve_feeder`` sweeps every feeder
+attached to a transmission system in one loop. A single feeder is a
+forest of one. Convergence is per feeder: a feeder that has converged
+keeps the iterate of that round, so each feeder's result is the one its
+own solve would give.
 
 A PV deployment never changes the model: ``scenario_loads`` folds it
 into a per-node load array that every solve takes as ``loads``.
@@ -100,6 +101,11 @@ class FeederModel:
     def root(self) -> str:
         children = {ln.to_node for ln in self.lines}
         return next(n.id for n in self.nodes if n.id not in children)
+
+    @cached_property
+    def ops(self) -> FeederOps:
+        """The feeder's sweep operator, built on first use and then reused."""
+        return FeederOps(self)
 
     @cached_property
     def _nodes_by_id(self) -> dict[str, FeederNode]:
@@ -458,7 +464,7 @@ def solve_feeder(
     feeder, or a feeder still moving after ``max_iter`` rounds, raises
     ``FeederSolveError``.
     """
-    ops = feeder if isinstance(feeder, FeederOps) else FeederOps(feeder)
+    ops = feeder if isinstance(feeder, FeederOps) else feeder.ops
     k = len(ops.parts)
     src = np.asarray(source_v, dtype=complex)
     if src.shape != (k, 3) and not (k == 1 and src.shape == (3,)):

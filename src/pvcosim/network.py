@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
@@ -104,12 +103,6 @@ class TransmissionNetwork:
     @property
     def slack_bus(self) -> Bus:
         return next(b for b in self.buses if b.kind == "slack")
-
-    def generator_at(self, bus_id: int) -> tuple[int, float, float] | None:
-        for g in self.generators:
-            if g[0] == bus_id:
-                return g
-        return None
 
 
 def _cx(value, what: str) -> complex:
@@ -241,13 +234,17 @@ def validate_network(net: TransmissionNetwork) -> None:
             raise NetworkDataError(f"generator references unknown bus {g[0]}")
         if bus.kind == "pq":
             raise NetworkDataError(f"generator at pq bus {g[0]}")
+        if bus.v_setpoint is not None and bus.v_setpoint != g[2]:
+            raise NetworkDataError(
+                f"bus {g[0]}: v_setpoint {bus.v_setpoint} differs from its "
+                f"generator's v_set {g[2]}"
+            )
 
     # Connectivity over the branch graph.
     idx = net.bus_index()
-    ends = np.array(
-        [(idx[br.from_bus], idx[br.to_bus]) for br in net.branches], dtype=int
-    ).reshape(-1, 2)
-    graph = sp.coo_matrix((np.ones(len(ends)), ends.T), shape=(len(ids), len(ids)))
+    graph = np.zeros((len(ids), len(ids)), dtype=bool)
+    for br in net.branches:
+        graph[idx[br.from_bus], idx[br.to_bus]] = True
     _, labels = connected_components(graph, directed=False)
     unreachable = sorted(b.id for b, lab in zip(net.buses, labels) if lab != labels[0])
     if unreachable:
@@ -256,8 +253,8 @@ def validate_network(net: TransmissionNetwork) -> None:
 
 def build_sequence_admittance(
     net: TransmissionNetwork,
-) -> tuple[sp.csc_matrix, sp.csc_matrix, sp.csc_matrix]:
-    """Nodal admittance matrices ``(y0, y1, y2)`` of the sequence networks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense nodal admittance matrices ``(y0, y1, y2)`` of the sequence networks.
 
     Each sequence takes the diagonal of every branch's
     :meth:`Branch.admittance_blocks`; inter-sequence coupling is handled
@@ -265,20 +262,16 @@ def build_sequence_admittance(
     """
     idx = net.bus_index()
     n = len(net.buses)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[np.ndarray] = []  # one (3,) entry per stamp, a value per sequence
+    # Column-major: ``y @ v`` rounds differently per layout, and Newton's
+    # iterates are kept bit-stable on this one.
+    ys = np.zeros((3, n, n), dtype=complex).transpose(0, 2, 1)
     for br in net.branches:
         f, t = idx[br.from_bus], idx[br.to_bus]
-        yff, yft, ytt = br.admittance_blocks()
-        rows += [f, t, f, t]
-        cols += [f, t, t, f]
-        vals += [np.diag(yff), np.diag(ytt), np.diag(yft), np.diag(yft)]
-    rows += range(n)
-    cols += range(n)
-    vals += [np.full(3, complex(b.shunt_g, b.shunt_b)) for b in net.buses]
-    data = np.array(vals, dtype=complex).reshape(-1, 3)
-    ys = tuple(sp.csc_matrix((data[:, s], (rows, cols)), shape=(n, n)) for s in range(3))
-    for y in ys:
-        y.eliminate_zeros()
-    return ys
+        yff, yft, ytt = (np.diag(blk) for blk in br.admittance_blocks())
+        ys[:, f, f] += yff
+        ys[:, t, t] += ytt
+        ys[:, f, t] += yft
+        ys[:, t, f] += yft
+    diag = np.arange(n)
+    ys[:, diag, diag] += [complex(b.shunt_g, b.shunt_b) for b in net.buses]
+    return ys[0], ys[1], ys[2]

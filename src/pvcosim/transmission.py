@@ -16,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import connected_components
 
 from .network import Branch, TransmissionNetwork, build_sequence_admittance
@@ -39,6 +37,11 @@ __all__ = [
     "slack_power",
     "branch_flows",
 ]
+
+
+# The one LU path: LAPACK's factor/solve, real (Newton) and complex (V0, V2).
+_DGETRF, _DGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+_ZGETRF, _ZGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
 class PowerFlowError(RuntimeError):
@@ -88,6 +91,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.tol_nr <= 0 or self.tol_seq <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_outer < 1 or self.max_nr < 1:
+            raise ValueError("max_outer and max_nr must be at least 1")
 
 
 @dataclass
@@ -128,7 +133,6 @@ class SequenceOps:
         self.bus_ids = tuple(b.id for b in net.buses)
 
         self.y0, self.y1, self.y2 = build_sequence_admittance(net)
-        self.y1_dense = self.y1.toarray()
 
         kinds = [b.kind for b in net.buses]
         self.slack = kinds.index("slack")
@@ -153,20 +157,17 @@ class SequenceOps:
             self.nr_bus[:, None] * (4 * self.n) + 2 * unknown_col[None, :] + part[:, None]
         )
 
+        # A bus's v_setpoint equals its generator's v_set (validate_network);
+        # only a slack bus without a generator needs its own.
         self.v_set = np.ones(self.n)
-        slack_bus = net.buses[self.slack]
-        self.v_set[self.slack] = (
-            slack_bus.v_setpoint if slack_bus.v_setpoint is not None else 1.0
-        )
+        if net.buses[self.slack].v_setpoint is not None:
+            self.v_set[self.slack] = net.buses[self.slack].v_setpoint
         self.p_gen = np.zeros(self.n)
         for gbus, p_set, v_set in net.generators:
             i = self.idx[gbus]
             self.v_set[i] = v_set
             if i != self.slack:
                 self.p_gen[i] = p_set
-        for b in net.buses:
-            if b.kind == "pv" and b.v_setpoint is not None:
-                self.v_set[self.idx[b.id]] = b.v_setpoint
 
         self.static_loads = np.array([complex(b.load_p, b.load_q) for b in net.buses])
         self.lin2 = _LinearSequenceSolver(self.y2, self.slack)
@@ -213,18 +214,15 @@ class _LinearSequenceSolver:
     zero volts and flagged if they ever receive current.
     """
 
-    def __init__(self, y: sp.csc_matrix, slack: int):
+    def __init__(self, y: np.ndarray, slack: int):
         self.n = y.shape[0]
         self.slack = slack
-        keep = np.array([i for i in range(self.n) if i != slack], dtype=int)
-        ysub = y[np.ix_(keep, keep)].tocsc()
+        keep = np.delete(np.arange(self.n), slack)
+        ysub = y[np.ix_(keep, keep)]
 
-        dense = y.toarray()
-        row_scale = np.abs(dense).max(axis=1)
-        row_sum = np.abs(dense.sum(axis=1))
-        anchored_bus = (row_sum > 1e-8 * np.maximum(1.0, row_scale)) | (
-            np.abs(dense[:, slack]) > 0
-        )
+        row_scale = np.abs(y).max(axis=1)
+        row_sum = np.abs(y.sum(axis=1))
+        anchored_bus = (row_sum > 1e-8 * np.maximum(1.0, row_scale)) | (np.abs(y[:, slack]) > 0)
 
         # Components of the reduced matrix's nonzero structure; a component
         # is solvable iff some member is anchored.
@@ -237,11 +235,13 @@ class _LinearSequenceSolver:
 
         self.lu = None
         if self.solvable_local.size:
-            core = ysub[np.ix_(self.solvable_local, self.solvable_local)].tocsc()
-            try:
-                self.lu = spla.splu(core)
-            except RuntimeError as exc:
-                raise SequenceSolveError([int(i) for i in self.solvable], str(exc)) from exc
+            core = ysub[np.ix_(self.solvable_local, self.solvable_local)]
+            lu, piv, info = _ZGETRF(core)
+            if info > 0:
+                raise SequenceSolveError(
+                    [int(i) for i in self.solvable], f"zero pivot {info} in the LU factor"
+                )
+            self.lu = (lu, piv)
 
     def solve(self, injections: np.ndarray) -> np.ndarray:
         inj = np.asarray(injections, dtype=complex)
@@ -252,7 +252,7 @@ class _LinearSequenceSolver:
             raise SequenceSolveError(bad, "current injected into ungrounded island")
         v = np.zeros(self.n, dtype=complex)
         if self.lu is not None:
-            v[self.solvable] = self.lu.solve(inj[self.solvable])
+            v[self.solvable] = _ZGETRS(*self.lu, inj[self.solvable])[0]
         return v
 
 
@@ -268,7 +268,7 @@ def _nr_solve(
     v_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float, list[float]]:
     """Full NR in polar form. Returns (V, iterations, mismatch, history)."""
-    y = ops.y1_dense
+    y = ops.y1
     pv, pq, pvpq, slack = ops.pv, ops.pq, ops.pvpq, ops.slack
     n_p = pvpq.size
     diag = np.diag_indices(ops.n)
@@ -303,11 +303,11 @@ def _nr_solve(
         ds_dvm[diag] += np.conj(ibus) * vn
         jac = np.take(ds.view(np.float64), ops.jac_take)
 
-        lu, piv = scipy.linalg.lu_factor(jac, check_finite=False)
+        lu, piv, _info = _DGETRF(jac)  # a zero pivot fails the check below
         udiag = np.abs(np.diag(lu))
         if udiag.size and udiag.min() < 1e-12 * max(1.0, udiag.max()):
             raise SingularJacobianError(ops.bus_ids[ops.nr_bus[int(np.argmin(udiag))]])
-        dx = scipy.linalg.lu_solve((lu, piv), f, check_finite=False)
+        dx = _DGETRS(lu, piv, f)[0]
 
         va = np.angle(v)
         va[pvpq] -= dx[:n_p]
@@ -348,10 +348,10 @@ def solve_positive_nr(
 
 
 def solve_sequence_linear(
-    y: sp.spmatrix, injections: np.ndarray, slack_index: int | None = None
+    y: np.ndarray, injections: np.ndarray, slack_index: int | None = None
 ) -> np.ndarray:
-    """Solve ``Y V = I`` with the slack bus held at zero volts."""
-    y = sp.csc_matrix(y)
+    """Solve ``Y V = I`` (``y`` a dense matrix) with the slack bus held at zero volts."""
+    y = np.asarray(y, dtype=complex)
     slack = 0 if slack_index is None else slack_index
     return _LinearSequenceSolver(y, slack).solve(np.asarray(injections, dtype=complex))
 
@@ -495,7 +495,7 @@ def slack_power(
     """Slack generator complex output, positive = generating."""
     ops = ops or SequenceOps(net)
     s = ops.slack
-    i_net = (ops.y1_dense @ sol.v1)[s]
+    i_net = (ops.y1 @ sol.v1)[s]
     i_comp = sol.comp_injections[s, 1]
     s_load = sol.loads_phase[s].sum()
     i_load = np.conj(s_load / sol.v1[s]) if abs(s_load) > 0 else 0j

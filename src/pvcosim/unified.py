@@ -200,10 +200,7 @@ class UnifiedOps:
         # --- generators ----------------------------------------------------
         slack = net.buses[slack_pos]
         self.slack_slots = phases_of(slack_pos)
-        vset = slack.v_setpoint
-        if vset is None:
-            g = net.generator_at(slack.id)
-            vset = g[2] if g else 1.0
+        vset = next((v for g, _p, v in net.generators if g == slack.id), slack.v_setpoint)
         self.slack_v = vset * A_SYN[:, 1]
         # (bus position, p_set, v_set) of each non-slack generator bus
         pv = [(pos[g], p, v) for g, p, v in net.generators if net.buses[pos[g]].kind == "pv"]

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pvcosim.driver import (
     run,
     validate_config,
 )
-from pvcosim.feeder import forest
+from pvcosim.feeder import FeederOps, forest
 from pvcosim.scenarios import feeder_seed, load_scenarios
 from pvcosim.transmission import SequenceOps
 from pvcosim.unified import UnifiedOps
@@ -94,6 +95,18 @@ def test_empty_resultset_emits_headers(tmp_path, small_results):
     paths = emit(empty, tmp_path / "empty")
     text = paths["results"].read_text().splitlines()
     assert len(text) == 1 and text[0].startswith("scenario,")
+
+
+def test_error_with_commas_stays_one_column(tmp_path, small_results):
+    from pvcosim.driver import ResultSet
+
+    message = "SequenceSolveError: singular sequence network; affected buses [1, 2]"
+    failed = replace(small_results.records[0], error=message)
+    rs = ResultSet(config=small_results.config, records=[failed], baseline={})
+    with open(emit(rs, tmp_path)["results"], newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [len(header)]
+    assert rows[0][header.index("error")] == message
 
 
 def test_replay_is_bit_identical(tmp_path):
@@ -234,6 +247,20 @@ def test_each_feeder_file_parsed_once(monkeypatch):
     assert len(runner.attachments) == len(cfg.feeders) == 3
 
 
+def test_one_feeder_operator_per_distinct_feeder(monkeypatch):
+    builds = []
+    build = FeederOps.__init__
+
+    def counted(self, model):
+        builds.append(model)
+        build(self, model)
+
+    monkeypatch.setattr(FeederOps, "__init__", counted)
+    runner = _Runner(RunConfig.bundled(levels=(10,)))
+    assert len(builds) == 1
+    assert len({id(a.ops) for a in runner.attachments}) == 1
+
+
 def test_config_from_file(tmp_path):
     from pvcosim import data_path
 
@@ -266,6 +293,9 @@ def test_config_validation(tmp_path):
         validate_config(small_config(mode="quantum"))
     with pytest.raises(FileNotFoundError):
         validate_config(small_config(network=str(tmp_path / "missing.json")))
+    for hours in [(25,), (12, -1), (24,)]:
+        with pytest.raises(ValueError, match="hours"):
+            validate_config(small_config(hours=hours))
 
 
 def test_both_mode_records_diff():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pvcosim import build_sequence_admittance, load_network
+from pvcosim import build_sequence_admittance, data_path, load_network
 from pvcosim.network import NetworkDataError
 
 from .oracles import brute_force_sequence_y
@@ -41,6 +41,16 @@ def test_pv_bus_without_setpoint_rejected():
     doc = json.loads(two_bus_case())
     doc["buses"][1]["kind"] = "pv"
     with pytest.raises(NetworkDataError, match="setpoint"):
+        load_network(json.dumps(doc))
+
+
+@pytest.mark.parametrize("gen, v_set", [(0, 1.05), (1, 1.00)])
+def test_setpoint_differing_from_generator_rejected(gen, v_set):
+    doc = json.loads(data_path("ieee9.json").read_text())
+    doc["generators"][gen]["v_set"] = v_set
+    bus = doc["generators"][gen]["bus"]
+    setpoint = next(b["v_setpoint"] for b in doc["buses"] if b["id"] == bus)
+    with pytest.raises(NetworkDataError, match=f"bus {bus}: v_setpoint {setpoint}.*{v_set}"):
         load_network(json.dumps(doc))
 
 
@@ -87,7 +97,7 @@ def test_single_branch_admittance_matrix():
             }
         )
     )
-    y1 = build_sequence_admittance(net)[1].toarray()
+    y1 = build_sequence_admittance(net)[1]
     expected = np.array([[-10j, 10j], [10j, -10j]])
     assert np.allclose(y1, expected, atol=1e-15)
 
@@ -109,7 +119,7 @@ def test_zero_seq_open_blocks_coupling():
             }
         )
     )
-    y0 = build_sequence_admittance(net)[0].toarray()
+    y0 = build_sequence_admittance(net)[0]
     assert y0[0, 1] == 0 and y0[1, 0] == 0
     assert y0[0, 0] == 0
     assert y0[1, 1] == pytest.approx(1 / 0.25j)  # grounding leg on the to side
@@ -117,14 +127,14 @@ def test_zero_seq_open_blocks_coupling():
 
 def test_bundled_y1_matches_brute_force(ieee9):
     for seq in (0, 1, 2):
-        y = build_sequence_admittance(ieee9)[seq].toarray()
+        y = build_sequence_admittance(ieee9)[seq]
         ref = brute_force_sequence_y(ieee9, seq)
         assert np.max(np.abs(y - ref)) < 1e-12
 
 
 def test_admittance_symmetry(ieee9):
     for seq in (0, 1, 2):
-        y = build_sequence_admittance(ieee9)[seq].toarray()
+        y = build_sequence_admittance(ieee9)[seq]
         assert np.max(np.abs(y - y.T)) < 1e-14
 
 
@@ -139,7 +149,7 @@ def test_row_sums_vanish_without_shunts(ieee9):
         bus["shunt_b"] = 0.0
     net = load_network(json.dumps(doc))
     for seq in (0, 1, 2):
-        y = build_sequence_admittance(net)[seq].toarray()
+        y = build_sequence_admittance(net)[seq]
         assert np.max(np.abs(y.sum(axis=1))) < 1e-12
 
 

@@ -50,7 +50,7 @@ def test_two_bus_matches_frozen_gauss_seidel():
 
 def test_two_bus_matches_live_gauss_seidel():
     net = load_network(two_bus_case())
-    y = build_sequence_admittance(net)[1].toarray()
+    y = build_sequence_admittance(net)[1]
     ref = gauss_seidel(
         y,
         np.array([0, -(1.0 + 0.5j)]),
@@ -88,7 +88,7 @@ def test_bundled_case_matches_gauss_seidel(ieee9):
     ops = SequenceOps(ieee9)
     sbus = (ops.p_gen - ops.static_loads).astype(complex)
     ref = gauss_seidel(
-        ops.y1_dense,
+        ops.y1,
         sbus,
         ops.flat_voltages(),
         slack=ops.slack,
@@ -140,15 +140,8 @@ def test_linear_solve_zero_injection_is_zero(ieee9):
 
 def test_linear_solve_two_bus_hand_inverse():
     # slack grounded; bus 1 sees 1/z to ground (slack) plus shunt j0.05.
-    import scipy.sparse as sp
-
     z = 0.02 + 0.2j
-    y = sp.csc_matrix(
-        np.array(
-            [[1 / z, -1 / z], [-1 / z, 1 / z + 0.05j]],
-            dtype=complex,
-        )
-    )
+    y = np.array([[1 / z, -1 / z], [-1 / z, 1 / z + 0.05j]], dtype=complex)
     inj = np.array([0.0, -0.3 + 0.1j])
     v = solve_sequence_linear(y, inj, slack_index=0)
     expected = inj[1] / (1 / z + 0.05j)
@@ -162,23 +155,19 @@ def test_linear_solve_residual_on_random_injections(ieee9):
     inj = rng.normal(size=9) * 0.05 + 1j * rng.normal(size=9) * 0.05
     inj[0] = 0
     v = solve_sequence_linear(y2, inj, slack_index=0)
-    residual = y2.toarray() @ v - inj
+    residual = y2 @ v - inj
     assert np.max(np.abs(residual[1:])) < 1e-10
 
 
 def _floating_island_y():
     """Slack with a shunt, plus a two-bus island with no path to ground."""
-    import scipy.sparse as sp
-
     y = 1 / (0.0 + 0.3j)
-    return sp.csc_matrix(
-        np.array(
-            [
-                [2.0 + 0j, 0, 0],
-                [0, y, -y],
-                [0, -y, y],
-            ]
-        )
+    return np.array(
+        [
+            [2.0 + 0j, 0, 0],
+            [0, y, -y],
+            [0, -y, y],
+        ]
     )
 
 
@@ -191,6 +180,12 @@ def test_linear_solve_floating_island_reports_buses():
     # Zero injection into the island is fine: it is pinned to zero volts.
     v = solve_sequence_linear(ymat, np.zeros(3, dtype=complex), slack_index=0)
     assert np.max(np.abs(v)) == 0
+
+    # Grounded but singular: the LU factor hits an exact zero pivot.
+    singular = np.array([[1.0, 0, 0], [0, 1.0, 2.0], [0, 2.0, 4.0]], dtype=complex)
+    with pytest.raises(SequenceSolveError) as err:
+        solve_sequence_linear(singular, np.zeros(3, dtype=complex), slack_index=0)
+    assert err.value.bus_positions == [1, 2]
 
 
 def test_island_partition_matches_union_find():
@@ -360,6 +355,9 @@ def test_outer_non_convergence_raises(ieee9):
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(tol_nr=0.0)
+    for cap in ("max_outer", "max_nr"):
+        with pytest.raises(ValueError, match=cap):
+            SolverOptions(**{cap: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +478,7 @@ def test_power_balance(ieee9):
                 continue
             i = sol.index_of(gbus)
             # generator injection = network current + local balanced load
-            i_net = (ops.y1_dense @ sol.v1)[i] - sol.comp_injections[i, 1]
+            i_net = (ops.y1 @ sol.v1)[i] - sol.comp_injections[i, 1]
             s_load = sol.loads_phase[i].sum()
             i_load = np.conj(s_load / sol.v1[i]) if abs(s_load) else 0j
             total_gen += sol.v1[i] * np.conj(i_net + i_load)
