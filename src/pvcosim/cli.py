@@ -34,8 +34,7 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args)
+def _cmd_run(cfg: RunConfig) -> int:
     results = run(cfg)
     paths = emit(results, cfg.out_dir)
     failed = [r for r in results.records if r.error is not None]
@@ -45,8 +44,7 @@ def _cmd_run(args) -> int:
     return 0 if not failed else 1
 
 
-def _cmd_compare(args) -> int:
-    cfg = _load_config(args)
+def _cmd_compare(cfg: RunConfig) -> int:
     results = run(replace(cfg, mode="both"))
     paths = emit(results, cfg.out_dir)
     failed = [r for r in [*results.baseline.values(), *results.records] if r.error]
@@ -69,8 +67,7 @@ def _cmd_compare(args) -> int:
     return 0 if not failed and worst < AGREEMENT_PU else 1
 
 
-def _cmd_gen_scenarios(args) -> int:
-    cfg = _load_config(args)
+def _cmd_gen_scenarios(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for k, (path, bus) in enumerate(cfg.feeders):
@@ -83,8 +80,7 @@ def _cmd_gen_scenarios(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_validate(cfg: RunConfig) -> int:
     net = load_network_file(cfg.network)
     print(f"network: {len(net.buses)} buses, {len(net.branches)} branches, "
           f"{len(net.generators)} generators [ok]")
@@ -150,7 +146,13 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = _load_config(args)
+    except (ValueError, FileNotFoundError) as exc:
+        # A rejected configuration is a usage error, reported as argparse does.
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    return args.func(cfg)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,11 @@ boundary tolerance between consecutive iterations; each
 ``BoundaryState`` carries that change as its ``error``.
 ``verify_fixed_point`` runs the same pair once at the final boundary.
 
+Both read their operators from ``step_ops``: the ``SequenceOps`` of the
+effective network and the feeder forest are built once per network and
+attachment set and cached on the network instance, next to the model as
+``FeederModel.ops`` is.
+
 Attaching a feeder to a bus replaces that bus's static load; the
 substation transformer ratio is nominal, so per-unit voltages map
 one-to-one across the boundary.
@@ -52,6 +57,8 @@ __all__ = [
     "source_voltage",
     "attach",
     "effective_network",
+    "StepOps",
+    "step_ops",
     "verify_fixed_point",
 ]
 
@@ -169,6 +176,45 @@ def effective_network(net: TransmissionNetwork, attachments) -> TransmissionNetw
     return replace(net, buses=buses)
 
 
+@dataclass(frozen=True)
+class StepOps:
+    """The operators of one co-simulation step on a network."""
+
+    seq: SequenceOps  # of the effective network, on which the step solves
+    feeders: FeederOps  # the forest of the attachments' operators, in order
+    attachments: tuple[Attachment, ...]  # keeps the feeders named in the cache key alive
+
+
+_STEP_OPS_KEPT = 8  # attachment sets cached per network; the oldest goes first
+
+
+def step_ops(net: TransmissionNetwork, attachments) -> StepOps:
+    """The step's operators for ``net`` and this attachment set, built on
+    first use and then reused.
+
+    They are cached in the network instance's ``__dict__`` (the dataclass
+    fields, and so equality and ``replace``, ignore it), keyed by each
+    attachment's PCC bus and feeder model identity in order. The entry
+    holds the attachments, so no identity in its key can be reused while
+    it lives. A build that raises caches nothing. The cache keeps the
+    ``_STEP_OPS_KEPT`` attachment sets of a network built most recently.
+    """
+    attachments = tuple(attachments)
+    cache = net.__dict__.setdefault("_step_ops", {})
+    key = tuple((att.bus, id(att.feeder)) for att in attachments)
+    ops = cache.get(key)
+    if ops is None:
+        ops = StepOps(
+            seq=SequenceOps(effective_network(net, attachments)),
+            feeders=forest([att.ops for att in attachments]),
+            attachments=attachments,
+        )
+        if len(cache) >= _STEP_OPS_KEPT:
+            del cache[next(iter(cache))]
+        cache[key] = ops
+    return ops
+
+
 _NOMINAL_V = phases_from_sequences(0.0, 1.0, 0.0)
 
 
@@ -231,33 +277,24 @@ def run_step(
     *,
     profile=None,
     solver_opts: SolverOptions | None = None,
-    seq_ops: SequenceOps | None = None,
-    feeder_ops: FeederOps | None = None,
 ) -> CoSimResult:
-    """Run one quasi-static co-simulation step to boundary convergence.
-
-    ``seq_ops`` (of the effective network, on which the step then solves)
-    and ``feeder_ops`` (the forest of the attachments' operators, in
-    order) are built here when not given.
-    """
+    """Run one quasi-static co-simulation step to boundary convergence,
+    on the operators ``step_ops`` keeps for ``net`` and ``attachments``."""
     opts = opts or CoSimOptions()
     solver_opts = solver_opts or SolverOptions()
     attachments = list(attachments)
     loads = np.concatenate(_feeder_loads(attachments, scenario_per_feeder, hour, profile))
-    if seq_ops is None:
-        seq_ops = SequenceOps(effective_network(net, attachments))
-    if feeder_ops is None:
-        feeder_ops = forest([att.ops for att in attachments])
+    ops = step_ops(net, attachments)
 
     # Decoupled first solves: each feeder at nominal balanced voltage.
     v_rows = np.tile(_NOMINAL_V, (len(attachments), 1))
-    fsol, s_rows = _solve_feeders(attachments, feeder_ops, loads, v_rows, opts)
+    fsol, s_rows = _solve_feeders(attachments, ops.feeders, loads, v_rows, opts)
     history = [BoundaryState(v_phase=v_rows, s_phase=s_rows, iteration=0)]
 
     seq_sol: SeqSolution | None = None
     for it in range(1, opts.max_fpi + 1):
-        seq_sol, v_rows = _solve_transmission(attachments, s_rows, seq_ops, solver_opts, seq_sol)
-        fsol, s_rows = _solve_feeders(attachments, feeder_ops, loads, v_rows, opts)
+        seq_sol, v_rows = _solve_transmission(attachments, s_rows, ops.seq, solver_opts, seq_sol)
+        fsol, s_rows = _solve_feeders(attachments, ops.feeders, loads, v_rows, opts)
         state = BoundaryState(v_phase=v_rows, s_phase=s_rows, iteration=it)
         state = replace(state, error=boundary_error(history[-1], state))
         history.append(state)
@@ -297,11 +334,10 @@ def verify_fixed_point(
     final = result.final_boundary
 
     loads = np.concatenate(_feeder_loads(attachments, scenario_per_feeder, hour, profile))
-    seq_ops = SequenceOps(effective_network(net, attachments))
+    ops = step_ops(net, attachments)
     _, v_rows = _solve_transmission(
-        attachments, final.s_phase, seq_ops, solver_opts, result.seq_solution
+        attachments, final.s_phase, ops.seq, solver_opts, result.seq_solution
     )
-    feeder_ops = forest([att.ops for att in attachments])
-    _, s_rows = _solve_feeders(attachments, feeder_ops, loads, final.v_phase, opts)
+    _, s_rows = _solve_feeders(attachments, ops.feeders, loads, final.v_phase, opts)
     state = BoundaryState(v_phase=v_rows, s_phase=s_rows, iteration=final.iteration + 1)
     return boundary_error(final, state)

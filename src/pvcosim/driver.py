@@ -27,14 +27,14 @@ from .coupler import (
     CoSimOptions,
     CosimNonConvergenceError,
     attach,
-    effective_network,
     run_step,
+    step_ops,
 )
-from .feeder import forest, load_feeder_file
+from .feeder import load_feeder_file
 from .network import load_network_file
 from .scenarios import PvScenario, feeder_seed, generate, load_profile_file
 from .sequences import A_ANA, unbalance_percent
-from .transmission import SequenceOps, SolverOptions, branch_flows
+from .transmission import SolverOptions, branch_flows
 from .unified import UnifiedOps, UnifiedSolution, compare, solve_unified
 
 __all__ = [
@@ -214,12 +214,11 @@ class _Runner:
         self.attachments = [
             attach(self.net, bus, f) for (_, bus), f in zip(cfg.feeders, self.feeders)
         ]
-        # The co-simulation's operators; oracle mode runs none of it.
-        cosim = cfg.mode != "oracle"
-        self.seq_ops = (
-            SequenceOps(effective_network(self.net, self.attachments)) if cosim else None
-        )
-        self.feeder_ops = forest([a.ops for a in self.attachments]) if cosim else None
+        # The co-simulation's operators, built here so that no case builds
+        # them (the cases find them in step_ops' cache); oracle mode runs
+        # none of it.
+        if cfg.mode != "oracle":
+            step_ops(self.net, self.attachments)
         self._unified_ops: UnifiedOps | None = None
         # Only PV cases draw scenarios, so a baseline-only run (n_scenarios=0)
         # also accepts a feeder without customers.
@@ -280,18 +279,14 @@ class _Runner:
             cfg.coupler,
             profile=self.profile,
             solver_opts=cfg.solver,
-            seq_ops=self.seq_ops,
-            feeder_ops=self.feeder_ops,
         )
         wall_ms = (time.perf_counter() - t0) * 1e3
 
         sol = result.seq_solution
         final = result.final_boundary
         vuf = tuple(unbalance_factor(final.v_phase[i]) for i in range(len(buses)))
-        signs = {
-            key: (1 if flows[:, 0].real.sum() >= 0 else -1)
-            for key, flows in branch_flows(sol, self.net, ops=self.seq_ops).items()
-        }
+        flows = branch_flows(sol, self.net, ops=step_ops(self.net, self.attachments).seq)
+        signs = {key: (1 if f[:, 0].real.sum() >= 0 else -1) for key, f in flows.items()}
         record = RunRecord(
             scenario_id=sid,
             level=level,

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +13,11 @@ from pvcosim import (
     attach,
     boundary_error,
     coupler,
+    data_path,
     equivalent_load,
     generate,
     load_feeder,
+    load_network_file,
     run_step,
     solve_three_sequence,
     source_voltage,
@@ -22,12 +29,15 @@ from pvcosim.coupler import (
     CosimError,
     CosimNonConvergenceError,
     effective_network,
+    step_ops,
 )
 from pvcosim.feeder import forest
 from pvcosim.sequences import A_ANA, phases_from_sequences
-from pvcosim.transmission import SequenceOps, SolverOptions
+from pvcosim.transmission import SequenceOps, SequenceSolveError, SolverOptions
 
 from .conftest import constant_load_feeder, small_feeder
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -168,16 +178,20 @@ def test_collapsing_feeder_among_healthy_ones_is_a_distribution_failure(ieee9, d
     assert err.value.side == "distribution"
 
 
-def test_prebuilt_sequence_ops_is_bit_identical(ieee9, attachments, desk13, profile):
-    ops = SequenceOps(effective_network(ieee9, attachments))
-    feeder_ops = forest([a.ops for a in attachments])
+def test_prebuilt_sequence_ops_is_bit_identical(desk13, profile):
+    # The first step on a fresh network builds the operators; every later
+    # step finds them built.
+    net = load_network_file(data_path("ieee9.json"))
+    atts = [attach(net, b, desk13) for b in (5, 6, 8)]
     for level in (40, 100):
         s = generate(desk13, [level], 1, master_seed=3)[0]
         scen = [s, s, s]
-        own = run_step(ieee9, attachments, 12, scen, profile=profile)
-        shared = run_step(
-            ieee9, attachments, 12, scen, profile=profile, seq_ops=ops, feeder_ops=feeder_ops
-        )
+        own = run_step(net, atts, 12, scen, profile=profile)
+        ops = step_ops(net, atts)
+        shared = run_step(net, atts, 12, scen, profile=profile)
+        assert step_ops(net, atts) is ops
+        for v in ("v0", "v1", "v2"):
+            assert getattr(own.seq_solution, v).tobytes() == getattr(shared.seq_solution, v).tobytes()
         assert own.fpi_iterations == shared.fpi_iterations
         assert len(own.boundary_history) == len(shared.boundary_history)
         for a, b in zip(own.boundary_history, shared.boundary_history):
@@ -185,6 +199,108 @@ def test_prebuilt_sequence_ops_is_bit_identical(ieee9, attachments, desk13, prof
             assert a.error == b.error
             assert a.v_phase.tobytes() == b.v_phase.tobytes()
             assert a.s_phase.tobytes() == b.s_phase.tobytes()
+
+
+def _step_arrays(net, feeder, buses, profile) -> list[np.ndarray]:
+    """One step at 100 % PV on ``feeder`` at each bus: its sequence voltages
+    and boundary history as arrays."""
+    s = generate(feeder, [100], 1, master_seed=3)[0]
+    atts = [attach(net, b, feeder) for b in buses]
+    res = run_step(net, atts, 12, [s] * len(buses), profile=profile)
+    arrays = [res.seq_solution.v0, res.seq_solution.v1, res.seq_solution.v2]
+    return arrays + [a for st in res.boundary_history for a in (st.v_phase, st.s_phase)]
+
+
+FRESH_STEP = """
+import sys
+
+import numpy as np
+
+from pvcosim import data_path, load_feeder_file, load_network_file, load_profile_file
+from tests.test_coupler import _step_arrays
+
+net = load_network_file(data_path("ieee9.json"))
+feeder = load_feeder_file(data_path("desk13.json"))
+profile = load_profile_file(data_path("pv_profile.json"))
+np.savez(sys.argv[1], *_step_arrays(net, feeder, (5, 6), profile))
+"""
+
+
+def test_step_operators_built_once_per_network_and_attachment_set(
+    monkeypatch, tmp_path, desk13, profile
+):
+    builds = []
+    build_seq = SequenceOps.__init__
+
+    def counted_seq(self, *args, **kwargs):
+        builds.append("SequenceOps")
+        build_seq(self, *args, **kwargs)
+
+    def counted_forest(parts):
+        builds.append("forest")
+        return forest(parts)
+
+    monkeypatch.setattr(SequenceOps, "__init__", counted_seq)
+    monkeypatch.setattr(coupler, "forest", counted_forest)
+    net = load_network_file(data_path("ieee9.json"))
+    atts = [attach(net, b, desk13) for b in (5, 6, 8)]
+    s = generate(desk13, [100], 1, master_seed=3)[0]
+    res = run_step(net, atts, 12, [s, s, s], profile=profile)
+    for _ in range(2):
+        shift = verify_fixed_point(
+            net, atts, res, hour=12, profile=profile, scenario_per_feeder=[s, s, s]
+        )
+        assert shift <= CoSimOptions().tol_boundary
+    assert sorted(builds) == ["SequenceOps", "forest"]
+
+    # Feeders at buses 5 and 6 only: a second attachment set on the same
+    # network gets its own operators, and the bytes of a fresh process.
+    builds.clear()
+    arrays = _step_arrays(net, desk13, (5, 6), profile)
+    assert sorted(builds) == ["SequenceOps", "forest"]
+    assert step_ops(net, atts[:2]) is not step_ops(net, atts)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = tmp_path / "fresh.npz"
+    subprocess.run(
+        [sys.executable, "-c", FRESH_STEP, str(out)], cwd=ROOT, env=env, check=True, timeout=120
+    )
+    with np.load(out) as fresh:
+        assert len(fresh.files) == len(arrays)
+        for k, a in enumerate(arrays):
+            assert fresh[f"arr_{k}"].tobytes() == a.tobytes()
+
+
+def test_step_operator_cache_keeps_the_last_attachment_sets(desk13):
+    net = load_network_file(data_path("ieee9.json"))
+    sets = [[attach(net, b, desk13) for b in buses] for buses in permutations((5, 6, 8))]
+    sets += [[attach(net, b, desk13)] for b in (5, 6, 8)]
+    first = [step_ops(net, atts) for atts in sets]
+    assert len({id(ops) for ops in first}) == len(sets) > coupler._STEP_OPS_KEPT
+    kept = len(sets) - coupler._STEP_OPS_KEPT
+    assert all(step_ops(net, atts) is ops for atts, ops in zip(sets[kept:], first[kept:]))
+    assert step_ops(net, sets[0]) is not first[0]
+    # The same bus with another feeder model is another attachment set.
+    other = step_ops(net, [attach(net, 5, load_feeder(small_feeder()))])
+    assert other is not step_ops(net, sets[-3])
+
+
+def test_failed_operator_build_caches_nothing(monkeypatch, desk13):
+    net = load_network_file(data_path("ieee9.json"))
+    atts = [attach(net, b, desk13) for b in (5, 6, 8)]
+    calls = []
+
+    def failing(network):
+        calls.append(network)
+        raise SequenceSolveError([4], "injected")
+
+    monkeypatch.setattr(coupler, "SequenceOps", failing)
+    for _ in range(2):
+        with pytest.raises(SequenceSolveError, match="injected"):
+            run_step(net, atts, 12, None)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert run_step(net, atts, 12, None).fpi_iterations > 0
 
 
 def test_boundary_conservation(ieee9, attachments, base_result):

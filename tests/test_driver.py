@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from pvcosim.transmission import SequenceOps
 from pvcosim.unified import UnifiedOps
 
 from .conftest import constant_load_feeder, small_feeder
+
+ROOT = Path(__file__).resolve().parents[1]
 
 COMPARE_HEADER = "scenario,level,hour,bus,v_cosim,v_unified,diff"
 
@@ -384,6 +390,33 @@ def test_cli_run(tmp_path, capsys):
     assert (tmp_path / "plot_iterations.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("run", ["--hours", "25"], "pvcosim run: error: hours must lie in 0..23, got (25,)"),
+        ("validate", ["--config", "missing.json"], "pvcosim validate: error: [Errno 2]"),
+        ("compare", ["--config", "missing.json"], "pvcosim compare: error: [Errno 2]"),
+    ],
+)
+def test_cli_rejected_config_is_a_usage_error(tmp_path, command, args, message):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pvcosim.cli", command, *args, "--out", str(tmp_path)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
+    assert done.stdout == ""
+
+
 def one_feeder_config(tmp_path, feeder_path, **extra):
     doc = {
         "network": str(data_path("ieee9.json")),
@@ -473,7 +506,6 @@ def test_cosim_operators_built_once_per_run_and_not_for_the_oracle(monkeypatch):
         return forest(parts)
 
     monkeypatch.setattr(SequenceOps, "__init__", counted_seq)
-    monkeypatch.setattr(driver, "forest", counted_forest)
     monkeypatch.setattr(coupler, "forest", counted_forest)
     for mode in ("oracle", "cosim", "both"):
         builds.clear()

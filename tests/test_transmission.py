@@ -14,7 +14,8 @@ from pvcosim import (
     solve_three_sequence,
 )
 from pvcosim.network import Branch, Bus, TransmissionNetwork
-from pvcosim.sequences import SequenceSet
+from pvcosim import transmission
+from pvcosim.sequences import A_SYN, SequenceSet, phase_currents, sequences_from_phases
 from pvcosim.transmission import (
     NrNonConvergenceError,
     OuterNonConvergenceError,
@@ -24,6 +25,7 @@ from pvcosim.transmission import (
     SolverOptions,
     _compensation_arrays,
     _LinearSequenceSolver,
+    _load_terms,
     branch_flows,
 )
 
@@ -284,6 +286,65 @@ def test_compensation_zero_phase_voltage_under_load_raises():
     v0 = np.array([0, -1], dtype=complex)  # phase a of bus 2 at zero volts
     with pytest.raises(ZeroDivisionError):
         _compensation_arrays(ops, v0, v1, np.zeros(2, dtype=complex), loads)
+
+
+def test_hoisted_load_terms_match_per_bus_loop():
+    # Random unbalanced loads with an unloaded row and a zero load on one
+    # phase, random sequence voltages, and one coupled branch.
+    doc = json.loads(data_path("ieee9.json").read_text())
+    doc["branches"][3]["coupling"] = {"z12": [0.002, 0.015], "z20": [0.001, -0.004]}
+    net = load_network(json.dumps(doc))
+    ops = SequenceOps(net)
+    assert ops.coupled
+    rng = np.random.default_rng(7)
+    n = ops.n
+    loads = rng.uniform(-1, 1, (n, 3)) + 1j * rng.uniform(-1, 1, (n, 3))
+    loads[8] = 0
+    loads[4, 1] = 0
+    v0, v2 = (0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(2))
+    v1 = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
+
+    terms = _load_terms(loads)
+    assert list(terms.loaded) == [i for i in range(n) if i != 8]
+    got = _compensation_arrays(ops, v0, v1, v2, loads, terms)
+    ref = per_bus_compensation(net, v0, v1, v2, loads)
+    assert np.all(got[8] == 0)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert got.tobytes() == _compensation_arrays(ops, v0, v1, v2, loads).tobytes()
+
+
+def test_zero_voltage_on_an_unloaded_phase_takes_phase_currents(monkeypatch):
+    # Phase a of bus 2 is at zero volts and draws nothing there, so the
+    # direct division is skipped; the result has the bits of the
+    # phase_currents expression.
+    ops = SequenceOps(load_network(two_bus_case(load_p=0.0, load_q=0.0)))
+    loads = np.array([[0, 0, 0], [0, 0.1 + 0.02j, 0.12 - 0.01j]], dtype=complex)
+    v0 = np.array([0, -1], dtype=complex)
+    v1 = np.ones(2, dtype=complex)
+    v2 = np.zeros(2, dtype=complex)
+    calls = []
+
+    def counted(s, v):
+        calls.append(v.shape)
+        return phase_currents(s, v)
+
+    monkeypatch.setattr(transmission, "phase_currents", counted)
+    got = _compensation_arrays(ops, v0, v1, v2, loads, _load_terms(loads))
+    assert calls == [(1, 3)]
+
+    v_ph = np.stack([v0, v1, v2], axis=1)[1:] @ A_SYN.T
+    assert v_ph[0, 0] == 0 and v_ph[0, 1:].all()
+    i_seq = sequences_from_phases(phase_currents(loads[1:], v_ph))
+    i_seq[:, 1] -= np.conj(loads[1:].sum(axis=1) / v1[1:])
+    want = np.zeros((2, 3), dtype=complex)
+    want[1:] -= i_seq
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+    # Under load, the same zero voltage still raises.
+    loads[1, 0] = 0.05
+    with pytest.raises(ZeroDivisionError):
+        _compensation_arrays(ops, v0, v1, v2, loads, _load_terms(loads))
 
 
 # ---------------------------------------------------------------------------
