@@ -11,8 +11,8 @@ boundary tolerance between consecutive iterations; each
 ``verify_fixed_point`` runs the same pair once at the final boundary.
 
 Both read their operators from ``step_ops``: the ``SequenceOps`` of the
-effective network and the feeder forest are built once per network and
-attachment set and cached on the network instance, next to the model as
+effective network and the feeder forest are built once and cached on the
+network instance for its last attachment set, next to the model as
 ``FeederModel.ops`` is.
 
 Attaching a feeder to a bus replaces that bus's static load; the
@@ -182,36 +182,33 @@ class StepOps:
 
     seq: SequenceOps  # of the effective network, on which the step solves
     feeders: FeederOps  # the forest of the attachments' operators, in order
-    attachments: tuple[Attachment, ...]  # keeps the feeders named in the cache key alive
+    attachments: tuple[Attachment, ...]  # the attachment set they were built for
 
 
-_STEP_OPS_KEPT = 8  # attachment sets cached per network; the oldest goes first
+def _same_set(a: tuple[Attachment, ...], b: tuple[Attachment, ...]) -> bool:
+    return len(a) == len(b) and all(x.bus == y.bus and x.feeder is y.feeder for x, y in zip(a, b))
 
 
 def step_ops(net: TransmissionNetwork, attachments) -> StepOps:
     """The step's operators for ``net`` and this attachment set, built on
     first use and then reused.
 
-    They are cached in the network instance's ``__dict__`` (the dataclass
-    fields, and so equality and ``replace``, ignore it), keyed by each
-    attachment's PCC bus and feeder model identity in order. The entry
-    holds the attachments, so no identity in its key can be reused while
-    it lives. A build that raises caches nothing. The cache keeps the
-    ``_STEP_OPS_KEPT`` attachment sets of a network built most recently.
+    The network instance's ``__dict__`` (which the dataclass fields, and so
+    equality and ``replace``, ignore) holds the operators of the last
+    attachment set asked for; a set with other PCC buses or feeder models,
+    in order, rebuilds them. The entry keeps its feeder models alive, so
+    an identity it compares with cannot be reused while it is cached. A
+    build that raises caches nothing.
     """
     attachments = tuple(attachments)
-    cache = net.__dict__.setdefault("_step_ops", {})
-    key = tuple((att.bus, id(att.feeder)) for att in attachments)
-    ops = cache.get(key)
-    if ops is None:
+    ops = net.__dict__.get("_step_ops")
+    if ops is None or not _same_set(ops.attachments, attachments):
         ops = StepOps(
             seq=SequenceOps(effective_network(net, attachments)),
             feeders=forest([att.ops for att in attachments]),
             attachments=attachments,
         )
-        if len(cache) >= _STEP_OPS_KEPT:
-            del cache[next(iter(cache))]
-        cache[key] = ops
+        net.__dict__["_step_ops"] = ops
     return ops
 
 

@@ -88,10 +88,12 @@ def phase_currents(s_phase: np.ndarray, v_phase: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s_phase, dtype=complex)
     v = np.asarray(v_phase, dtype=complex)
+    nz = np.abs(v) > 0
+    if nz.all():  # the common case: the division below, on every element
+        return np.conj(3.0 * s / v)
     if np.any((np.abs(v) == 0) & (np.abs(s) > 0)):
         raise ZeroDivisionError("cannot form load current at zero phase voltage")
     out = np.zeros(np.broadcast(s, v).shape, dtype=complex)
-    nz = np.abs(v) > 0
     out[nz] = np.conj(3.0 * s[nz] / v[nz])
     return out
 

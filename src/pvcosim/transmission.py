@@ -249,7 +249,7 @@ class _LinearSequenceSolver:
         inj = np.asarray(injections, dtype=complex)
         if inj.shape != (self.n,):
             raise ValueError(f"injection vector must have length {self.n}")
-        if self.pinned.size and (np.abs(inj[self.pinned]) > 1e-11).any():
+        if self.pinned.size and np.any(np.abs(inj[self.pinned]) > 1e-11):
             bad = [int(i) for i in self.pinned if abs(inj[i]) > 1e-11]
             raise SequenceSolveError(bad, "current injected into ungrounded island")
         v = np.zeros(self.n, dtype=complex)
@@ -283,10 +283,10 @@ def _nr_solve(
     def mismatch(vv):
         ibus = y @ vv
         ds = vv * np.conj(ibus) - sbus
-        return ibus, ds.view(np.float64).take(ops.mismatch_take)
+        return ibus, np.take(ds.view(np.float64), ops.mismatch_take)
 
     ibus, f = mismatch(v)
-    norm = float(np.abs(f).max()) if f.size else 0.0
+    norm = float(np.max(np.abs(f))) if f.size else 0.0
     history = [norm]
     it = 0
     while norm > opts.tol_nr and it < opts.max_nr:
@@ -303,21 +303,21 @@ def _nr_solve(
         ds_dva[:] = 1j * v[:, None] * np.conj(d)
         ds_dvm[:] = v[:, None] * np.conj(y * vn)
         ds_dvm[diag] += np.conj(ibus) * vn
-        jac = ds.view(np.float64).take(ops.jac_take)
+        jac = np.take(ds.view(np.float64), ops.jac_take)
 
         lu, piv, _info = _DGETRF(jac)  # a zero pivot fails the check below
-        udiag = np.abs(lu.diagonal())
+        udiag = np.abs(np.diag(lu))
         if udiag.size and udiag.min() < 1e-12 * max(1.0, udiag.max()):
             raise SingularJacobianError(ops.bus_ids[ops.nr_bus[int(np.argmin(udiag))]])
         dx = _DGETRS(lu, piv, f)[0]
 
-        va = np.arctan2(v.imag, v.real)  # np.angle without its wrapper
+        va = np.angle(v)
         va[pvpq] -= dx[:n_p]
         vm[pq] -= dx[n_p:]
         v = vm * np.exp(1j * va)
 
         ibus, f = mismatch(v)
-        norm = float(np.abs(f).max()) if f.size else 0.0
+        norm = float(np.max(np.abs(f))) if f.size else 0.0
         history.append(norm)
 
     if norm > opts.tol_nr:
@@ -368,14 +368,13 @@ class _LoadTerms(NamedTuple):
 
     loaded: np.ndarray  # positions of the buses with any load
     s_ph: np.ndarray  # their per-phase powers
-    s3: np.ndarray  # 3 s, the numerator of the phase currents conj(3 s / v)
     s_sum: np.ndarray  # their row sums, the balanced load the NR carries
 
 
 def _load_terms(loads_ph: np.ndarray) -> _LoadTerms:
     loaded = np.flatnonzero(np.abs(loads_ph).sum(axis=1) > 0)
     s_ph = loads_ph[loaded]
-    return _LoadTerms(loaded, s_ph, 3.0 * s_ph, s_ph.sum(axis=1))
+    return _LoadTerms(loaded, s_ph, s_ph.sum(axis=1))
 
 
 def _compensation_arrays(
@@ -398,16 +397,10 @@ def _compensation_arrays(
     if terms is None:
         terms = _load_terms(loads_ph)
     inj = np.zeros((ops.n, 3), dtype=complex)
-    seq = np.empty((ops.n, 3), dtype=complex)  # np.stack's array, without its overhead
-    seq[:, 0], seq[:, 1], seq[:, 2] = v0, v1, v2
+    seq = np.stack([v0, v1, v2], axis=1)
 
     loaded = terms.loaded
-    v_ph = seq[loaded] @ A_SYN.T
-    if v_ph.all():
-        i_ph = np.conj(terms.s3 / v_ph)  # phase_currents' bits, without its zero checks
-    else:
-        i_ph = phase_currents(terms.s_ph, v_ph)  # raises at a zero voltage under load
-    i_seq = sequences_from_phases(i_ph)
+    i_seq = sequences_from_phases(phase_currents(terms.s_ph, seq[loaded] @ A_SYN.T))
     i_seq[:, 1] -= np.conj(terms.s_sum / v1[loaded])  # the balanced part NR carries
     inj[loaded] -= i_seq
 
@@ -431,7 +424,8 @@ def compensation_currents(
     v0 = np.array([seq_voltages[b].zero for b in ops.bus_ids])
     v1 = np.array([seq_voltages[b].positive for b in ops.bus_ids])
     v2 = np.array([seq_voltages[b].negative for b in ops.bus_ids])
-    inj = _compensation_arrays(ops, v0, v1, v2, ops.phase_load_matrix(pcc_loads))
+    loads_ph = ops.phase_load_matrix(pcc_loads)
+    inj = _compensation_arrays(ops, v0, v1, v2, loads_ph)
     return {
         b: SequenceSet(zero=inj[i, 0], positive=inj[i, 1], negative=inj[i, 2])
         for i, b in enumerate(ops.bus_ids)
@@ -463,8 +457,7 @@ def solve_three_sequence(
     terms = _load_terms(loads_ph)  # fixed for the whole call
 
     if start is not None:
-        # Each pass replaces the iterates, so the start's arrays are only read.
-        v0, v1, v2 = start.v0, start.v1, start.v2
+        v0, v1, v2 = start.v0.copy(), start.v1.copy(), start.v2.copy()
     else:
         v1 = ops.flat_voltages()
         v0 = np.zeros(ops.n, dtype=complex)
@@ -488,9 +481,9 @@ def solve_three_sequence(
         # exit.
         delta = float(
             max(
-                np.abs(v1_new - v1).max(),
-                np.abs(v0_new - v0).max(),
-                np.abs(v2_new - v2).max(),
+                np.max(np.abs(v1_new - v1)),
+                np.max(np.abs(v0_new - v0)),
+                np.max(np.abs(v2_new - v2)),
             )
         )
         v0, v1, v2 = v0_new, v1_new, v2_new

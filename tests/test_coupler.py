@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -271,18 +270,15 @@ def test_step_operators_built_once_per_network_and_attachment_set(
             assert fresh[f"arr_{k}"].tobytes() == a.tobytes()
 
 
-def test_step_operator_cache_keeps_the_last_attachment_sets(desk13):
+def test_another_feeder_model_at_the_same_bus_gets_its_own_operators(desk13):
     net = load_network_file(data_path("ieee9.json"))
-    sets = [[attach(net, b, desk13) for b in buses] for buses in permutations((5, 6, 8))]
-    sets += [[attach(net, b, desk13)] for b in (5, 6, 8)]
-    first = [step_ops(net, atts) for atts in sets]
-    assert len({id(ops) for ops in first}) == len(sets) > coupler._STEP_OPS_KEPT
-    kept = len(sets) - coupler._STEP_OPS_KEPT
-    assert all(step_ops(net, atts) is ops for atts, ops in zip(sets[kept:], first[kept:]))
-    assert step_ops(net, sets[0]) is not first[0]
-    # The same bus with another feeder model is another attachment set.
-    other = step_ops(net, [attach(net, 5, load_feeder(small_feeder()))])
-    assert other is not step_ops(net, sets[-3])
+    atts = [attach(net, b, desk13) for b in (5, 6, 8)]
+    ops = step_ops(net, atts)
+    assert step_ops(net, [attach(net, b, desk13) for b in (5, 6, 8)]) is ops
+    other = step_ops(net, [attach(net, 5, load_feeder(small_feeder()))] + atts[1:])
+    assert other is not ops
+    assert other.feeders is not ops.feeders
+    assert step_ops(net, atts) is not other
 
 
 def test_failed_operator_build_caches_nothing(monkeypatch, desk13):

@@ -102,6 +102,24 @@ def test_phase_currents_balanced_unit_load():
     assert np.allclose(np.abs(i), 1.0, atol=1e-15)
 
 
+def test_phase_currents_direct_division_has_the_masked_bits():
+    # With no zero voltage the whole array is divided at once; the bits are
+    # those of the masked form the zero-voltage case uses.
+    rng = np.random.default_rng(11)
+    s = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    s[2, 1] = 0
+    v = rng.uniform(0.8, 1.2, (6, 3)) * np.exp(1j * rng.uniform(-3, 3, (6, 3)))
+    out = np.zeros(v.shape, dtype=complex)
+    nz = np.abs(v) > 0
+    out[nz] = np.conj(3.0 * s[nz] / v[nz])
+    assert phase_currents(s, v).tobytes() == out.tobytes()
+
+
+def test_phase_currents_unloaded_zero_voltage_draws_nothing():
+    i = phase_currents(np.array([0, 0.1 + 0j, 0.2j]), np.array([0j, 1, 1j]))
+    assert i[0] == 0 and np.isfinite(i).all()
+
+
 def test_phase_current_zero_voltage_raises():
     with pytest.raises(ZeroDivisionError):
         phase_currents(np.array([0.1 + 0j, 0, 0]), np.array([0j, 1, 1]))

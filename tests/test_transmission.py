@@ -14,8 +14,7 @@ from pvcosim import (
     solve_three_sequence,
 )
 from pvcosim.network import Branch, Bus, TransmissionNetwork
-from pvcosim import transmission
-from pvcosim.sequences import A_SYN, SequenceSet, phase_currents, sequences_from_phases
+from pvcosim.sequences import A_SYN, SequenceSet, sequences_from_phases
 from pvcosim.transmission import (
     NrNonConvergenceError,
     OuterNonConvergenceError,
@@ -313,28 +312,28 @@ def test_hoisted_load_terms_match_per_bus_loop():
     assert got.tobytes() == _compensation_arrays(ops, v0, v1, v2, loads).tobytes()
 
 
-def test_zero_voltage_on_an_unloaded_phase_takes_phase_currents(monkeypatch):
+def _masked_phase_currents(s, v):
+    """phase_currents' zero-voltage form: nothing drawn at zero volts."""
+    out = np.zeros(v.shape, dtype=complex)
+    nz = np.abs(v) > 0
+    out[nz] = np.conj(3.0 * s[nz] / v[nz])
+    return out
+
+
+def test_zero_voltage_on_an_unloaded_phase_takes_the_fallback():
     # Phase a of bus 2 is at zero volts and draws nothing there, so the
-    # direct division is skipped; the result has the bits of the
-    # phase_currents expression.
+    # direct division (0/0 there) is skipped; the compensation has the bits
+    # of the masked form and stays finite.
     ops = SequenceOps(load_network(two_bus_case(load_p=0.0, load_q=0.0)))
     loads = np.array([[0, 0, 0], [0, 0.1 + 0.02j, 0.12 - 0.01j]], dtype=complex)
     v0 = np.array([0, -1], dtype=complex)
     v1 = np.ones(2, dtype=complex)
     v2 = np.zeros(2, dtype=complex)
-    calls = []
-
-    def counted(s, v):
-        calls.append(v.shape)
-        return phase_currents(s, v)
-
-    monkeypatch.setattr(transmission, "phase_currents", counted)
     got = _compensation_arrays(ops, v0, v1, v2, loads, _load_terms(loads))
-    assert calls == [(1, 3)]
 
     v_ph = np.stack([v0, v1, v2], axis=1)[1:] @ A_SYN.T
     assert v_ph[0, 0] == 0 and v_ph[0, 1:].all()
-    i_seq = sequences_from_phases(phase_currents(loads[1:], v_ph))
+    i_seq = sequences_from_phases(_masked_phase_currents(loads[1:], v_ph))
     i_seq[:, 1] -= np.conj(loads[1:].sum(axis=1) / v1[1:])
     want = np.zeros((2, 3), dtype=complex)
     want[1:] -= i_seq
