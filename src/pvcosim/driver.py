@@ -16,7 +16,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .coupler import (
 )
 from .feeder import load_feeder_file
 from .network import load_network_file
-from .scenarios import PvScenario, feeder_seed, generate, load_profile_file
+from .scenarios import PvScenario, feeder_seed, generate, load_profile_file, validate_draw
 from .sequences import A_ANA, unbalance_percent
 from .transmission import SolverOptions, branch_flows
 from .unified import UnifiedOps, UnifiedSolution, compare, solve_unified
@@ -82,18 +82,35 @@ class RunConfig:
 
     @staticmethod
     def from_file(path) -> "RunConfig":
+        """Read a JSON configuration. A missing required key or an unknown
+        ``solver``/``coupler`` option is a ``ValueError`` that names it."""
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         base = Path(path).parent
+
+        def required(doc, key, where):
+            if key not in doc:
+                raise ValueError(f"{where} lacks the required key {key!r}")
+            return doc[key]
 
         def resolve(p):
             q = Path(p)
             return str(q if q.is_absolute() else base / q)
 
+        def options(key, cls):
+            unknown = sorted(set(raw[key]) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ValueError(f"unknown {key} option {unknown[0]!r}")
+            return cls(**raw[key])
+
+        feeders = []
+        for i, f in enumerate(required(raw, "feeders", "configuration")):
+            where = f"feeder {i}"
+            feeders.append((resolve(required(f, "path", where)), int(required(f, "bus", where))))
         kwargs = dict(
-            network=resolve(raw["network"]),
-            feeders=tuple((resolve(f["path"]), int(f["bus"])) for f in raw["feeders"]),
-            profile=resolve(raw["profile"]),
+            network=resolve(required(raw, "network", "configuration")),
+            feeders=tuple(feeders),
+            profile=resolve(required(raw, "profile", "configuration")),
         )
         for key in ("levels", "hours"):
             if key in raw:
@@ -105,9 +122,9 @@ class RunConfig:
             if key in raw:
                 kwargs[key] = str(raw[key])
         if "solver" in raw:
-            kwargs["solver"] = SolverOptions(**raw["solver"])
+            kwargs["solver"] = options("solver", SolverOptions)
         if "coupler" in raw:
-            kwargs["coupler"] = CoSimOptions(**raw["coupler"])
+            kwargs["coupler"] = options("coupler", CoSimOptions)
         cfg = RunConfig(**kwargs)
         validate_config(cfg)
         return cfg
@@ -120,6 +137,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError(f"unknown mode {cfg.mode!r}")
     if not all(0 <= h <= 23 for h in cfg.hours):
         raise ValueError(f"hours must lie in 0..23, got {cfg.hours}")
+    if cfg.n_scenarios < 0:
+        raise ValueError(f"n_scenarios must not be negative, got {cfg.n_scenarios}")
+    validate_draw(cfg.levels, cfg.scenario_mode)
     for p in [cfg.network, cfg.profile] + [f for f, _ in cfg.feeders]:
         if not Path(p).exists():
             raise FileNotFoundError(f"configured file missing: {p}")

@@ -23,6 +23,7 @@ __all__ = [
     "pv_rating",
     "feeder_seed",
     "generate",
+    "validate_draw",
     "load_profile",
     "load_profile_file",
     "save_scenarios",
@@ -97,6 +98,16 @@ def _scenario_seed(master_seed: int, scenario_id: int, level: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def validate_draw(levels, mode: str) -> None:
+    """Reject penetration levels or a scenario mode that ``generate``
+    cannot draw."""
+    if mode not in ("incremental", "independent"):
+        raise ValueError(f"unknown scenario mode {mode!r}")
+    for lv in levels:
+        if lv not in range(10, 101, 10):
+            raise ValueError(f"levels must be multiples of 10 in 10..100, got {lv}")
+
+
 def generate(
     feeder: FeederModel,
     levels: list[int],
@@ -109,11 +120,7 @@ def generate(
     customers = feeder.customers()
     if not customers:
         raise ValueError("feeder has no customer nodes")
-    if mode not in ("incremental", "independent"):
-        raise ValueError(f"unknown mode {mode!r}")
-    for lv in levels:
-        if lv not in range(10, 101, 10):
-            raise ValueError(f"levels must be multiples of 10 in 10..100, got {lv}")
+    validate_draw(levels, mode)
 
     count = len(customers)
     ratings = {

@@ -11,6 +11,14 @@ with fixed active power. Their reactive powers are unknowns of the same
 Newton system, closed by one positive-sequence voltage-magnitude
 equation per generator, so there is no outer loop.
 
+The iteration is a safeguarded chord method. ``UnifiedOps`` factors one
+reference Newton matrix per run (flat start, base loads, ``q = 0``), and
+every step solves with the current factor. A step whose mismatch is not
+below ``CHORD_CONTRACTION`` times the previous step's first factors the
+true Newton matrix at the current iterate, and that solve's later steps
+reuse it, so a case that the reference serves badly falls back to
+Newton steps.
+
 Agreement between this solve and the coupler's boundary iteration is
 the package's primary validation check.
 """
@@ -35,6 +43,11 @@ __all__ = [
 ]
 
 AGREEMENT_PU = 1e-3  # largest positive-sequence PCC difference that passes
+# A chord step keeps its factor while the mismatch falls below this share
+# of the previous step's. From 0.3 up the chord also converges past the
+# stress nose (pv_stress k = 3.875, PCC |V| about 0.72), where Newton
+# fails, so it would widen the oracle's convergence set.
+CHORD_CONTRACTION = 0.2
 
 
 class UnifiedSolveError(PowerFlowError):
@@ -46,8 +59,9 @@ class UnifiedSolution:
     bus_voltages: dict[int, np.ndarray]  # transmission bus -> (3,) pu phases
     pcc_voltage: np.ndarray  # (n_att, 3) pu
     pcc_power: np.ndarray  # (n_att, 3) per-phase system pu
-    iterations: int  # Newton steps
+    iterations: int  # chord steps
     residual: float  # final max |current mismatch|
+    factorizations: int  # Newton matrices factored by this solve, beyond the reference
     slack_power_pu: complex = 0j
 
     def positive_sequence(self, bus_id: int) -> complex:
@@ -56,6 +70,13 @@ class UnifiedSolution:
 
 def _seq_block_to_phase(block: np.ndarray) -> np.ndarray:
     return A_SYN @ block @ A_ANA
+
+
+def _factor(jac: sp.csc_matrix, where: str):
+    try:
+        return spla.splu(jac)
+    except RuntimeError as exc:
+        raise UnifiedSolveError(f"{where}: singular Jacobian ({exc})") from exc
 
 
 class UnifiedOps:
@@ -71,7 +92,10 @@ class UnifiedOps:
     non-slack generator bus. ``jac_y`` is the constant part of the
     Jacobian, the real form of ``Y[unknown, unknown]``; ``jac_rows`` and
     ``jac_cols`` place the voltage-dependent load and generator terms
-    that ``jacobian`` adds to it on every step.
+    that ``jacobian`` adds to it. ``lu`` is the ``splu`` factor of the
+    reference Newton matrix that every solve's chord steps start from:
+    the Jacobian at ``v_flat`` and ``q = 0`` under the feeders' base
+    loads. It depends on no case, so no result depends on case order.
     """
 
     def __init__(self, net: TransmissionNetwork, attachments):
@@ -237,6 +261,11 @@ class UnifiedOps:
         self.jac_rows = np.concatenate([r, r, r + nu, r + nu, gen, gen + nu, qk, qk], axis=None)
         self.jac_cols = np.concatenate([c, c + nu, c, c + nu, qk, qk, gen, gen + nu], axis=None)
 
+        base_s = self.load_s([att.ops.loads for att in attachments])
+        q0 = np.zeros(self.pv_p.size)
+        v1 = self.mismatch(self.v_flat, q0, base_s)[1]
+        self.lu = _factor(self.jacobian(self.v_flat, q0, v1, base_s), "reference Newton matrix")
+
     def load_s(self, feeder_loads) -> np.ndarray:
         """Per-phase constant-power load (system pu) on every slot, from one
         ``(n, 3)`` kW + j kvar array per attachment. Feeder slots are
@@ -286,10 +315,11 @@ def solve_unified(
 
     Feeder loads come from the co-simulation's own scenario application,
     so both models see the same PV deployment. ``ops`` is
-    ``UnifiedOps(net, attachments)``, built here when not given. Newton
-    runs from a flat start until the largest current mismatch is at most
-    ``tol`` and every generator's ``|V1|`` is within ``pv_tol`` of its
-    setpoint, for at most ``max_iter`` steps.
+    ``UnifiedOps(net, attachments)``, built here when not given. Chord
+    steps run from a flat start on ``ops.lu``, refactoring as the module
+    docstring says, until the largest current mismatch is at most ``tol``
+    and every generator's ``|V1|`` is within ``pv_tol`` of its setpoint,
+    for at most ``max_iter`` steps.
     """
     attachments = list(attachments)
     loads = _feeder_loads(attachments, scenarios, hour, profile)
@@ -297,7 +327,8 @@ def solve_unified(
     load_s = ops.load_s(loads)
     u, nu = ops.unknown, ops.unknown.size
     v, q = ops.v_flat.copy(), np.zeros(ops.pv_p.size)
-    steps = 0
+    lu, last = ops.lu, np.inf
+    steps = factorizations = 0
     while True:
         cur, v1 = ops.mismatch(v, q, load_s)
         r, dev = cur[u], np.abs(v1) - ops.pv_v
@@ -310,10 +341,10 @@ def solve_unified(
                 f"{res:.3e}, |V1| deviation {worst:.3e}"
             )
         steps += 1
-        try:
-            lu = spla.splu(ops.jacobian(v, q, v1, load_s))
-        except RuntimeError as exc:
-            raise UnifiedSolveError(f"Newton step {steps}: singular Jacobian ({exc})") from exc
+        if max(res, worst) >= CHORD_CONTRACTION * last:
+            lu = _factor(ops.jacobian(v, q, v1, load_s), f"Newton step {steps}")
+            factorizations += 1
+        last = max(res, worst)
         dx = lu.solve(-np.concatenate([r.real, r.imag, dev]))
         if not np.all(np.isfinite(dx)):
             raise UnifiedSolveError(f"Newton step {steps}: non-finite update")
@@ -329,6 +360,7 @@ def solve_unified(
         pcc_power=pcc_v * np.conj(i_ph) / 3.0,
         iterations=steps,
         residual=res,
+        factorizations=factorizations,
         slack_power_pu=slack_s,
     )
 

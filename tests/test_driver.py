@@ -302,6 +302,14 @@ def test_config_validation(tmp_path):
     for hours in [(25,), (12, -1), (24,)]:
         with pytest.raises(ValueError, match="hours"):
             validate_config(small_config(hours=hours))
+    # What generate would reject fails here, before any case runs.
+    with pytest.raises(ValueError, match="n_scenarios"):
+        validate_config(small_config(n_scenarios=-1))
+    for levels in [(150,), (10, 15), (0,)]:
+        with pytest.raises(ValueError, match="levels"):
+            validate_config(small_config(levels=levels))
+    with pytest.raises(ValueError, match="scenario mode"):
+        validate_config(small_config(scenario_mode="chaotic"))
 
 
 def test_both_mode_records_diff():
@@ -399,6 +407,10 @@ def test_cli_run(tmp_path, capsys):
     ],
 )
 def test_cli_rejected_config_is_a_usage_error(tmp_path, command, args, message):
+    _assert_usage_error(tmp_path, command, args, message)
+
+
+def _assert_usage_error(tmp_path, command, args, message):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -415,6 +427,43 @@ def test_cli_rejected_config_is_a_usage_error(tmp_path, command, args, message):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
     assert done.stdout == ""
+
+
+BUNDLED_DOC = {
+    "network": str(data_path("ieee9.json")),
+    "feeders": [{"path": str(data_path("desk13.json")), "bus": 5}],
+    "profile": str(data_path("pv_profile.json")),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("network"), "configuration lacks the required key 'network'"),
+        (lambda d: d.pop("profile"), "configuration lacks the required key 'profile'"),
+        (lambda d: d["feeders"][0].pop("bus"), "feeder 0 lacks the required key 'bus'"),
+        (lambda d: d.update(solver={"tol": 1e-9}), "unknown solver option 'tol'"),
+        (lambda d: d.update(coupler={"max_fpi": 5, "damping": 0.5}),
+         "unknown coupler option 'damping'"),
+        (lambda d: d.update(scenario_mode="chaotic"), "unknown scenario mode 'chaotic'"),
+    ],
+)
+def test_cli_malformed_config_file_is_a_usage_error(tmp_path, edit, message):
+    doc = json.loads(json.dumps(BUNDLED_DOC))
+    edit(doc)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    _assert_usage_error(tmp_path, "run", ["--config", "cfg.json"], f"pvcosim run: error: {message}")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--scenarios", "-1"], "n_scenarios must not be negative, got -1"),
+        (["--levels", "150"], "levels must be multiples of 10 in 10..100, got 150"),
+    ],
+)
+def test_cli_bad_sweep_option_is_a_usage_error(tmp_path, args, message):
+    _assert_usage_error(tmp_path, "run", args, f"pvcosim run: error: {message}")
 
 
 def one_feeder_config(tmp_path, feeder_path, **extra):

@@ -16,6 +16,7 @@ from pvcosim import (
 from pvcosim.coupler import CoSimOptions, _feeder_loads
 from pvcosim.driver import RunConfig, _Runner
 from pvcosim.network import Bus
+from pvcosim.scenarios import feeder_seed
 from pvcosim.sequences import A_ANA
 from pvcosim.unified import AGREEMENT_PU, UnifiedOps, UnifiedSolveError
 
@@ -200,6 +201,68 @@ def test_converges_wherever_cosim_does_under_heavy_pv(ieee9, desk13, profile, at
     assert compare(cs, us, attachments)["max_diff"] < AGREEMENT_PU
 
 
+def _solution_bytes(us):
+    arrays = [us.pcc_voltage, us.pcc_power, *us.bus_voltages.values()]
+    scalars = (us.iterations, us.factorizations, us.residual, us.slack_power_pu)
+    return b"".join(a.tobytes() for a in arrays), scalars
+
+
+def test_case_order_does_not_change_the_answer(ieee9, desk13, profile, attachments):
+    # The chord steps start from the run's reference factor, never from an
+    # earlier case's: B after a heavy case A equals B on fresh operators.
+    heavy = [_scaled(generate(desk13, [100], 1, master_seed=s)[0], 3.75) for s in range(3)]
+    light = [generate(desk13, [30], 1, master_seed=s)[0] for s in range(3)]
+    ops = UnifiedOps(ieee9, attachments)
+    first = solve_unified(ieee9, attachments, 12, heavy, profile=profile, ops=ops)
+    assert first.factorizations >= 1
+    after = solve_unified(ieee9, attachments, 12, light, profile=profile, ops=ops)
+    fresh = solve_unified(
+        ieee9, attachments, 12, light, profile=profile, ops=UnifiedOps(ieee9, attachments)
+    )
+    assert _solution_bytes(after) == _solution_bytes(fresh)
+
+
+def test_base_case_runs_on_the_reference_factor(ieee9, attachments):
+    us = solve_unified(ieee9, attachments, 12, None)
+    assert us.factorizations == 0
+    assert us.iterations >= 1
+
+
+def test_factorizations_never_exceed_steps():
+    runner = _Runner(RunConfig.bundled(master_seed=4242))
+    ops = UnifiedOps(runner.net, runner.attachments)
+    for level in (0, *range(10, 101, 10)):
+        us = solve_unified(
+            runner.net, runner.attachments, 12, runner.scenario_list(0, level),
+            profile=runner.profile, ops=ops,
+        )
+        assert 0 <= us.factorizations <= us.iterations, level
+
+
+def test_heavy_pv_refactors_and_still_agrees(ieee9, desk13, profile, attachments):
+    scen = [_scaled(generate(desk13, [100], 1, master_seed=s)[0], 3.75) for s in range(3)]
+    us = solve_unified(ieee9, attachments, 12, scen, profile=profile)
+    assert us.factorizations >= 1
+    cs = run_step(ieee9, attachments, 12, scen, profile=profile)
+    assert compare(cs, us, attachments)["max_diff"] < AGREEMENT_PU
+
+
+def test_stress_convergence_edge_is_newtons(ieee9, desk13, profile, attachments):
+    # The first pv_stress scenario at seed 4242: Newton converges at
+    # k = 3.75 and fails at k = 3.875, past the nose; the chord steps must
+    # neither lose the first nor gain the second.
+    drawn = [generate(desk13, [100], 1, feeder_seed(4242, i))[0] for i in range(3)]
+    ops = UnifiedOps(ieee9, attachments)
+    us = solve_unified(
+        ieee9, attachments, 12, [_scaled(s, 3.75) for s in drawn], profile=profile, ops=ops
+    )
+    assert us.residual <= 1e-10
+    with pytest.raises(UnifiedSolveError):
+        solve_unified(
+            ieee9, attachments, 12, [_scaled(s, 3.875) for s in drawn], profile=profile, ops=ops
+        )
+
+
 def test_step_cap_raises_typed_error(ieee9, attachments):
     with pytest.raises(UnifiedSolveError, match=r"max_iter=1 steps: current mismatch \d\.\d+e"):
         solve_unified(ieee9, attachments, 12, None, max_iter=1)
@@ -211,6 +274,9 @@ def test_singular_jacobian_raises_typed_error(ieee9):
     isolated = replace(ieee9, buses=ieee9.buses + (Bus(id=99, kind="pq", base_kv=230.0),))
     with pytest.raises(UnifiedSolveError, match="singular Jacobian"):
         solve_unified(isolated, [], 12, None)
+    # The reference factor is taken when the operators are built.
+    with pytest.raises(UnifiedSolveError, match="singular Jacobian"):
+        UnifiedOps(isolated, [])
 
 
 def test_jacobian_matches_finite_differences(ieee9, desk13, profile, attachments):
