@@ -70,10 +70,8 @@ from .transmission import (  # noqa: E402
     SeqSolution,
     SolverOptions,
     branch_flows,
-    compensation_currents,
     slack_power,
     solve_positive_nr,
-    solve_sequence_linear,
     solve_three_sequence,
 )
 from .unified import UnifiedOps, UnifiedSolution, compare, solve_unified  # noqa: E402

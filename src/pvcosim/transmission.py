@@ -1,14 +1,31 @@
 """Three-sequence transmission power flow.
 
-The positive-sequence network is solved with a full Newton-Raphson in
-polar form; the negative- and zero-sequence networks are linear solves.
-Anything that couples the sequences (inter-sequence branch coupling,
-unbalanced constant-power loads) is represented as compensation current
-injections recomputed from the latest voltage estimate, and the whole
-thing is iterated until the positive-sequence voltages settle.
+The sequence-frame method of Abdel-Akher, Nor and Rashid (IEEE Trans.
+Power Systems 20(3), 2005). The positive-sequence network is solved with
+a full Newton-Raphson in polar form; the negative- and zero-sequence
+networks are linear solves. Anything that couples the sequences
+(inter-sequence branch coupling, unbalanced constant-power loads) is
+represented as compensation current injections recomputed from the
+latest voltage estimate, and the whole thing is iterated until no
+sequence voltage moves by more than ``tol_seq``.
 
 Loads are constant-power per phase. A balanced bus load is the triple
 ``(S/3, S/3, S/3)``; PCC loads arrive as explicit per-phase triples.
+
+Constant-power loads also couple V0 and V2. To first order a loaded
+bus's compensation moves by ``dc = B conj(dV)`` with
+``B = A_ANA diag(3 conj(s_ph / v_ph**2)) conj(A_SYN)``, so a V2 change
+draws zero-sequence current and a V0 change negative-sequence current,
+and the per-sequence solves swing between the two. Near the voltage
+nose that swing contracts slowly. A call therefore switches once, from
+the second pass on, when the largest V0/V2 change of a pass is not below
+``SLOW_CONTRACTION`` times the previous pass's: right after the next
+Newton solve it factors ``Y - B conj(.)`` over the solvable zero- and
+negative-sequence buses, in real form, and every later pass takes one
+Newton step of ``Y v - c(v) = 0`` for (V0, V2) on that factor. The
+solution records the switch (``SeqSolution.coupled``); a call that
+starts from a coupled solution factors right after its first Newton
+solve.
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import connected_components
 
 from .network import Branch, TransmissionNetwork, build_sequence_admittance
-from .sequences import A_SYN, SequenceSet, phase_currents, sequences_from_phases
+from .sequences import A_ANA, A_SYN, phase_currents, sequences_from_phases
 
 __all__ = [
     "SolverOptions",
@@ -32,8 +49,6 @@ __all__ = [
     "SequenceSolveError",
     "OuterNonConvergenceError",
     "solve_positive_nr",
-    "solve_sequence_linear",
-    "compensation_currents",
     "solve_three_sequence",
     "slack_power",
     "branch_flows",
@@ -43,6 +58,14 @@ __all__ = [
 # The one LU path: LAPACK's factor/solve, real (Newton) and complex (V0, V2).
 _DGETRF, _DGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 _ZGETRF, _ZGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
+# The outer loop switches to the load-coupled V0/V2 update once the largest
+# V0/V2 change of a pass is not below this share of the previous pass's.
+SLOW_CONTRACTION = 0.5
+
+# The rows of A_ANA and the conjugated columns of A_SYN for sequences (0, 2).
+_ANA02 = A_ANA[[0, 2]]
+_SYN02 = np.conj(A_SYN[:, [0, 2]])
 
 
 class PowerFlowError(RuntimeError):
@@ -110,6 +133,7 @@ class SeqSolution:
     max_mismatch: float
     comp_injections: np.ndarray  # (n, 3) sequence current injections
     loads_phase: np.ndarray  # (n, 3) per-phase powers actually served
+    coupled: bool = False  # V0/V2 came from the load-coupled update
 
     def index_of(self, bus_id: int) -> int:
         return self.bus_ids.index(bus_id)
@@ -174,6 +198,31 @@ class SequenceOps:
         self.static_loads = np.array([complex(b.load_p, b.load_q) for b in net.buses])
         self.lin2 = _LinearSequenceSolver(self.y2, self.slack)
         self.lin0 = _LinearSequenceSolver(self.y0, self.slack)
+
+        # The load-coupled V0/V2 system (``_CoupledStep``) has one complex
+        # unknown per solvable bus of the zero, then the negative sequence,
+        # at ``v02_flat`` in the stacked (V0, V2) and at ``comp_take`` in a
+        # flattened compensation matrix. ``y02`` is its admittance, block
+        # diagonal, in the real form [[G, -H], [H, G]] of G + jH. Entry
+        # ``v02_src`` of the per-bus sensitivities, flattened from
+        # (n, 2, 2), goes to entry ``v02_dest`` of the flattened m x m
+        # sensitivity; entries at the slack or a pinned bus are dropped.
+        s0, s2 = self.lin0.solvable, self.lin2.solvable
+        m0, m = s0.size, s0.size + s2.size
+        self.v02_buses = np.concatenate([s0, s2])
+        self.v02_flat = np.concatenate([s0, self.n + s2])
+        self.comp_take = np.concatenate([3 * s0, 3 * s2 + 2])
+        y02 = np.zeros((m, m), dtype=complex)
+        y02[:m0, :m0] = self.y0[np.ix_(s0, s0)]
+        y02[m0:, m0:] = self.y2[np.ix_(s2, s2)]
+        self.y02 = np.block([[y02.real, -y02.imag], [y02.imag, y02.real]])
+        unknown = np.full((self.n, 2), -1)
+        unknown[s0, 0] = np.arange(m0)
+        unknown[s2, 1] = np.arange(m0, m)
+        rows, cols = np.broadcast_arrays(unknown[:, :, None], unknown[:, None, :])
+        keep = ((rows >= 0) & (cols >= 0)).ravel()
+        self.v02_src = np.flatnonzero(keep)
+        self.v02_dest = (rows.ravel() * m + cols.ravel())[keep]
 
         # Each branch's two-port, for flows; branches with inter-sequence
         # coupling also keep the off-diagonal series admittance that the
@@ -245,13 +294,17 @@ class _LinearSequenceSolver:
                 )
             self.lu = (lu, piv)
 
+    def check_pinned(self, inj: np.ndarray) -> None:
+        """Raise if ``inj`` drives current into a pinned bus."""
+        if self.pinned.size and np.any(np.abs(inj[self.pinned]) > 1e-11):
+            bad = [int(i) for i in self.pinned if abs(inj[i]) > 1e-11]
+            raise SequenceSolveError(bad, "current injected into ungrounded island")
+
     def solve(self, injections: np.ndarray) -> np.ndarray:
         inj = np.asarray(injections, dtype=complex)
         if inj.shape != (self.n,):
             raise ValueError(f"injection vector must have length {self.n}")
-        if self.pinned.size and np.any(np.abs(inj[self.pinned]) > 1e-11):
-            bad = [int(i) for i in self.pinned if abs(inj[i]) > 1e-11]
-            raise SequenceSolveError(bad, "current injected into ungrounded island")
+        self.check_pinned(inj)
         v = np.zeros(self.n, dtype=complex)
         if self.lu is not None:
             v[self.solvable] = _ZGETRS(*self.lu, inj[self.solvable])[0]
@@ -349,15 +402,6 @@ def solve_positive_nr(
     return v, {"iterations": it, "mismatch": norm, "history": history}
 
 
-def solve_sequence_linear(
-    y: np.ndarray, injections: np.ndarray, slack_index: int | None = None
-) -> np.ndarray:
-    """Solve ``Y V = I`` (``y`` a dense matrix) with the slack bus held at zero volts."""
-    y = np.asarray(y, dtype=complex)
-    slack = 0 if slack_index is None else slack_index
-    return _LinearSequenceSolver(y, slack).solve(np.asarray(injections, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # Compensation currents
 # ---------------------------------------------------------------------------
@@ -412,24 +456,67 @@ def _compensation_arrays(
     return inj
 
 
-def compensation_currents(
-    net: TransmissionNetwork,
-    seq_voltages: dict[int, SequenceSet],
-    pcc_loads: dict[int, np.ndarray] | None = None,
-    *,
-    ops: SequenceOps | None = None,
-) -> dict[int, SequenceSet]:
-    """Per-bus compensation current injections for a voltage estimate."""
-    ops = ops or SequenceOps(net)
-    v0 = np.array([seq_voltages[b].zero for b in ops.bus_ids])
-    v1 = np.array([seq_voltages[b].positive for b in ops.bus_ids])
-    v2 = np.array([seq_voltages[b].negative for b in ops.bus_ids])
-    loads_ph = ops.phase_load_matrix(pcc_loads)
-    inj = _compensation_arrays(ops, v0, v1, v2, loads_ph)
-    return {
-        b: SequenceSet(zero=inj[i, 0], positive=inj[i, 1], negative=inj[i, 2])
-        for i, b in enumerate(ops.bus_ids)
-    }
+# ---------------------------------------------------------------------------
+# Load-coupled V0/V2 update
+# ---------------------------------------------------------------------------
+
+
+class _CoupledStep:
+    """Newton steps of ``Y v - c(v) = 0`` for (V0, V2) on one factor.
+
+    ``v`` stacks V0 and V2 at ``ops.v02_buses`` and ``c`` is their
+    compensation. With V1 held, a loaded bus's compensation moves by
+    ``dc = B conj(dV)``, where ``B = A_ANA diag(3 conj(s_ph / v_ph**2))
+    conj(A_SYN)`` restricted to sequences (0, 2). With ``Y = G + jH`` and
+    ``B = P + jQ``, the step solves the real system
+    ``[[G - P, -H - Q], [H - Q, G + P]]`` in (Re dv, Im dv), factored
+    once at the voltages given. Coupled branches stay in ``c`` only.
+    """
+
+    def __init__(self, ops: SequenceOps, v0, v1, v2, terms: _LoadTerms):
+        self.ops = ops
+        lu, piv, _info = _DGETRF(_coupled_matrix(ops, v0, v1, v2, terms))  # checked below
+        udiag = np.abs(np.diag(lu))
+        small = np.flatnonzero(udiag < 1e-12 * max(1.0, udiag.max()))
+        if small.size:
+            m = ops.v02_buses.size
+            buses = sorted({int(ops.v02_buses[j % m]) for j in small})
+            raise SequenceSolveError(buses, "singular load-coupled V0/V2 factor")
+        self.lu = (lu, piv)
+
+    def step(self, comp: np.ndarray, v0: np.ndarray, v2: np.ndarray):
+        """The next (V0, V2) from the compensation ``comp`` at (v0, v2)."""
+        ops = self.ops
+        ops.lin0.check_pinned(comp[:, 0])
+        ops.lin2.check_pinned(comp[:, 2])
+        m = ops.v02_buses.size
+        v = np.concatenate([v0, v2])[ops.v02_flat]
+        r = ops.y02 @ np.concatenate([v.real, v.imag])
+        c = comp.ravel()[ops.comp_take]
+        r[:m] -= c.real
+        r[m:] -= c.imag
+        dv = _DGETRS(*self.lu, r)[0]
+        out = np.zeros(2 * ops.n, dtype=complex)
+        out[ops.v02_flat] = v - (dv[:m] + 1j * dv[m:])
+        return out[: ops.n], out[ops.n :]
+
+
+def _coupled_matrix(ops: SequenceOps, v0, v1, v2, terms: _LoadTerms) -> np.ndarray:
+    """The real matrix that ``_CoupledStep`` factors, at (v0, v1, v2)."""
+    loaded = terms.loaded
+    v_ph = np.stack([v0[loaded], v1[loaded], v2[loaded]], axis=1) @ A_SYN.T
+    d = np.zeros((ops.n, 3), dtype=complex)
+    d[loaded] = 3.0 * np.conj(terms.s_ph / v_ph**2)
+    b = np.zeros(ops.v02_buses.size**2, dtype=complex)
+    b[ops.v02_dest] = ((_ANA02 * d[:, None, :]) @ _SYN02).ravel()[ops.v02_src]
+    m = ops.v02_buses.size
+    p, q = b.real.reshape(m, m), b.imag.reshape(m, m)
+    jac = ops.y02.copy()
+    jac[:m, :m] -= p
+    jac[:m, m:] -= q
+    jac[m:, :m] -= q
+    jac[m:, m:] += p
+    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -468,28 +555,37 @@ def solve_three_sequence(
     comp = np.zeros((ops.n, 3), dtype=complex)
     converged = False
     outer = 0
+    switch = start is not None and start.coupled
+    coupled: _CoupledStep | None = None
+    prev02 = np.inf
     while outer < opts.max_outer:
         outer += 1
         comp = _compensation_arrays(ops, v0, v1, v2, loads_ph, terms)
         extra = v1 * np.conj(comp[:, 1])
         v1_new, it, mismatch, _ = _nr_solve(ops, sbus_const + extra, opts, v_start=v1)
         total_nr += it
-        v0_new = ops.lin0.solve(comp[:, 0])
-        v2_new = ops.lin2.solve(comp[:, 2])
+        if switch and coupled is None:
+            coupled = _CoupledStep(ops, v0, v1_new, v2, terms)
+        if coupled is None:
+            v0_new = ops.lin0.solve(comp[:, 0])
+            v2_new = ops.lin2.solve(comp[:, 2])
+        else:
+            v0_new, v2_new = coupled.step(comp, v0, v2)
         # The positive-sequence change alone can read zero one pass before
         # the coupling feedback arrives, so all three sequences gate the
         # exit.
-        delta = float(
-            max(
-                np.max(np.abs(v1_new - v1)),
-                np.max(np.abs(v0_new - v0)),
-                np.max(np.abs(v2_new - v2)),
-            )
-        )
+        d02 = float(max(np.max(np.abs(v0_new - v0)), np.max(np.abs(v2_new - v2))))
+        delta = max(float(np.max(np.abs(v1_new - v1))), d02)
         v0, v1, v2 = v0_new, v1_new, v2_new
         if outer > 1 and delta <= opts.tol_seq:
             converged = True
             break
+        # A V0/V2 change that does not shrink below SLOW_CONTRACTION of the
+        # last one is the V0 <-> V2 swing; the next pass factors the
+        # load-coupled update right after its Newton solve.
+        if outer > 1 and d02 > 0 and d02 >= SLOW_CONTRACTION * prev02:
+            switch = True
+        prev02 = d02
     if not converged:
         raise OuterNonConvergenceError(outer, delta)
 
@@ -504,6 +600,7 @@ def solve_three_sequence(
         max_mismatch=mismatch,
         comp_injections=comp,
         loads_phase=loads_ph,
+        coupled=coupled is not None,
     )
     sol.slack_power_pu = slack_power(sol, net, ops=ops)
     return sol

@@ -5,7 +5,8 @@ package: Gauss-Seidel for the positive-sequence power flow, dense
 phase-frame fixed-point nodal solves, closed-form two-bus voltage,
 element-by-element admittance assembly, per-sequence branch flows,
 union-find sequence-network islands, compensation currents one bus and
-one branch at a time, the feeder sweep as a
+one branch at a time, the sequence-coupling loop as a plain Jacobi
+iteration on those compensation currents, the feeder sweep as a
 node-by-node tree walk, PV scenarios written into node loads, and the
 unified solve as a current-injection fixed point with a secant trim of
 the generators' reactive power.
@@ -188,6 +189,87 @@ def per_bus_compensation(net, v0, v1, v2, loads_ph) -> np.ndarray:
         inj[f] -= di
         inj[t] += di
     return inj
+
+
+def _polar_newton(y, sbus, v, slack, pv, pq, tol, max_iter=30):
+    """Textbook polar Newton-Raphson with dense derivative matrices."""
+    pvpq = list(pv) + list(pq)
+    n_p = len(pvpq)
+    for _ in range(max_iter):
+        i_bus = y @ v
+        mis = v * np.conj(i_bus) - sbus
+        f = np.concatenate([mis.real[pvpq], mis.imag[pq]])
+        if np.max(np.abs(f)) <= tol:
+            return v
+        vn = v / np.abs(v)
+        ds_dva = 1j * np.diag(v) @ np.conj(np.diag(i_bus) - y @ np.diag(v))
+        ds_dvm = np.diag(v) @ np.conj(y @ np.diag(vn)) + np.conj(np.diag(i_bus)) @ np.diag(vn)
+        jac = np.block(
+            [
+                [ds_dva.real[np.ix_(pvpq, pvpq)], ds_dvm.real[np.ix_(pvpq, pq)]],
+                [ds_dva.imag[np.ix_(pq, pvpq)], ds_dvm.imag[np.ix_(pq, pq)]],
+            ]
+        )
+        dx = np.linalg.solve(jac, f)
+        va, vm = np.angle(v), np.abs(v)
+        va[pvpq] -= dx[:n_p]
+        vm[pq] -= dx[n_p:]
+        v = vm * np.exp(1j * va)
+    raise RuntimeError("Newton-Raphson did not converge")
+
+
+def jacobi_three_sequence(net, loads_ph, tol, max_passes=500):
+    """The sequence-coupling loop with plain per-sequence updates.
+
+    ``loads_ph`` is the (n, 3) per-phase constant-power load of every bus,
+    static loads included. Each pass takes the compensation currents at
+    the last voltages, solves the positive sequence by Newton-Raphson with
+    them as extra injection, and solves V0 and V2 from them alone (slack
+    grounded, islands without a path to ground held at zero volts). Stops
+    once no sequence voltage moves by more than ``tol`` after the first
+    pass. Returns ``(v0, v1, v2, passes)``.
+    """
+    ys = [brute_force_sequence_y(net, s) for s in range(3)]
+    kinds = [b.kind for b in net.buses]
+    pos = {b.id: i for i, b in enumerate(net.buses)}
+    slack = kinds.index("slack")
+    pv = [i for i, k in enumerate(kinds) if k == "pv"]
+    pq = [i for i, k in enumerate(kinds) if k == "pq"]
+    n = len(kinds)
+    v1 = np.ones(n, dtype=complex)
+    p_gen = np.zeros(n)
+    if net.buses[slack].v_setpoint is not None:
+        v1[slack] = net.buses[slack].v_setpoint
+    for gbus, p_set, v_set in net.generators:
+        v1[pos[gbus]] = v_set
+        if pos[gbus] != slack:
+            p_gen[pos[gbus]] = p_set
+    keep = [i for i in range(n) if i != slack]
+    grounded = []
+    for s in (0, 2):
+        solvable, _pinned = union_find_islands(ys[s], slack)
+        grounded.append([keep[k] for k in solvable])
+
+    v0 = np.zeros(n, dtype=complex)
+    v2 = np.zeros(n, dtype=complex)
+    for passes in range(1, max_passes + 1):
+        comp = per_bus_compensation(net, v0, v1, v2, loads_ph)
+        sbus = p_gen - loads_ph.sum(axis=1) + v1 * np.conj(comp[:, 1])
+        v1_new = _polar_newton(ys[1], sbus, v1.copy(), slack, pv, pq, tol=1e-12)
+        v02_new = []
+        for s, idx in zip((0, 2), grounded):
+            v = np.zeros(n, dtype=complex)
+            v[idx] = np.linalg.solve(ys[s][np.ix_(idx, idx)], comp[idx, s])
+            v02_new.append(v)
+        delta = max(
+            np.max(np.abs(v1_new - v1)),
+            np.max(np.abs(v02_new[0] - v0)),
+            np.max(np.abs(v02_new[1] - v2)),
+        )
+        v0, v1, v2 = v02_new[0], v1_new, v02_new[1]
+        if passes > 1 and delta <= tol:
+            return v0, v1, v2, passes
+    raise RuntimeError("Jacobi sequence loop did not converge")
 
 
 def phase_frame_two_bus(

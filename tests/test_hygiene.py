@@ -1,6 +1,8 @@
-"""Source hygiene checks that need nothing beyond the standard library."""
+"""Source hygiene checks: unused imports, dangling exports and the
+oracle's independence from the solvers it checks."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,43 @@ def test_checker_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("module", SOURCES, ids=source_id)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def exported_names(source: str) -> list[tuple[str, str]]:
+    """``(module, name)`` for each name a package module lists in ``__all__``
+    or imports from a sibling module; ``module`` is "" for the module itself."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names += [("", name) for name in ast.literal_eval(node.value)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            names += [(node.module or "", alias.name) for alias in node.names]
+    return names
+
+
+@pytest.mark.parametrize(
+    "module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_export_and_package_import_resolves(module):
+    here = "pvcosim" if module.name == "__init__.py" else f"pvcosim.{module.stem}"
+    dangling = []
+    for source, name in exported_names(module.read_text(encoding="utf-8")):
+        owner = importlib.import_module(f"pvcosim.{source}" if source else here)
+        if not hasattr(owner, name):
+            dangling.append(f"{source or here}.{name}")
+    assert dangling == []
+
+
+def test_export_check_sees_both_kinds_of_name():
+    source = "from .transmission import SeqSolution, gone\n__all__ = ['run', 'missing']\n"
+    assert exported_names(source) == [
+        ("transmission", "SeqSolution"),
+        ("transmission", "gone"),
+        ("", "run"),
+        ("", "missing"),
+    ]
 
 
 def test_oracle_shares_no_solver_code():

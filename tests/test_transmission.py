@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 
 from pvcosim import (
+    attach,
     build_sequence_admittance,
-    compensation_currents,
     data_path,
+    driver,
+    generate,
     load_network,
+    run_step,
     solve_positive_nr,
-    solve_sequence_linear,
     solve_three_sequence,
 )
+from pvcosim.coupler import CosimError, _pcc_loads, step_ops
+from pvcosim.driver import RunConfig
 from pvcosim.network import Branch, Bus, TransmissionNetwork
+from pvcosim.scenarios import feeder_seed
 from pvcosim.sequences import A_SYN, SequenceSet, sequences_from_phases
 from pvcosim.transmission import (
     NrNonConvergenceError,
@@ -23,6 +28,8 @@ from pvcosim.transmission import (
     SingularJacobianError,
     SolverOptions,
     _compensation_arrays,
+    _coupled_matrix,
+    _CoupledStep,
     _LinearSequenceSolver,
     _load_terms,
     branch_flows,
@@ -31,6 +38,7 @@ from pvcosim.transmission import (
 from .conftest import island_variants, two_bus_case
 from .oracles import (
     gauss_seidel,
+    jacobi_three_sequence,
     naive_branch_flows,
     per_bus_compensation,
     phase_frame_two_bus,
@@ -135,7 +143,7 @@ def test_singular_jacobian_reports_bus():
 
 def test_linear_solve_zero_injection_is_zero(ieee9):
     y2 = build_sequence_admittance(ieee9)[2]
-    v = solve_sequence_linear(y2, np.zeros(9, dtype=complex), slack_index=0)
+    v = _LinearSequenceSolver(y2, 0).solve(np.zeros(9, dtype=complex))
     assert np.max(np.abs(v)) == 0
 
 
@@ -144,7 +152,7 @@ def test_linear_solve_two_bus_hand_inverse():
     z = 0.02 + 0.2j
     y = np.array([[1 / z, -1 / z], [-1 / z, 1 / z + 0.05j]], dtype=complex)
     inj = np.array([0.0, -0.3 + 0.1j])
-    v = solve_sequence_linear(y, inj, slack_index=0)
+    v = _LinearSequenceSolver(y, 0).solve(inj)
     expected = inj[1] / (1 / z + 0.05j)
     assert abs(v[1] - expected) < 1e-14
     assert v[0] == 0
@@ -155,7 +163,7 @@ def test_linear_solve_residual_on_random_injections(ieee9):
     y2 = build_sequence_admittance(ieee9)[2]
     inj = rng.normal(size=9) * 0.05 + 1j * rng.normal(size=9) * 0.05
     inj[0] = 0
-    v = solve_sequence_linear(y2, inj, slack_index=0)
+    v = _LinearSequenceSolver(y2, 0).solve(inj)
     residual = y2 @ v - inj
     assert np.max(np.abs(residual[1:])) < 1e-10
 
@@ -175,17 +183,17 @@ def _floating_island_y():
 def test_linear_solve_floating_island_reports_buses():
     ymat = _floating_island_y()
     with pytest.raises(SequenceSolveError) as err:
-        solve_sequence_linear(ymat, np.array([0, 0.1 + 0j, 0]), slack_index=0)
+        _LinearSequenceSolver(ymat, 0).solve(np.array([0, 0.1 + 0j, 0]))
     assert set(err.value.bus_positions) <= {1, 2}
 
     # Zero injection into the island is fine: it is pinned to zero volts.
-    v = solve_sequence_linear(ymat, np.zeros(3, dtype=complex), slack_index=0)
+    v = _LinearSequenceSolver(ymat, 0).solve(np.zeros(3, dtype=complex))
     assert np.max(np.abs(v)) == 0
 
     # Grounded but singular: the LU factor hits an exact zero pivot.
     singular = np.array([[1.0, 0, 0], [0, 1.0, 2.0], [0, 2.0, 4.0]], dtype=complex)
     with pytest.raises(SequenceSolveError) as err:
-        solve_sequence_linear(singular, np.zeros(3, dtype=complex), slack_index=0)
+        _LinearSequenceSolver(singular, 0)
     assert err.value.bus_positions == [1, 2]
 
 
@@ -211,16 +219,21 @@ def test_island_partition_matches_union_find():
 # ---------------------------------------------------------------------------
 
 
-def _flat_seq_voltages(net):
-    return {b.id: SequenceSet(0j, 1.0 + 0j, 0j) for b in net.buses}
+def _flat_compensation(net, pcc_loads=None):
+    """Compensation at flat voltages: V1 = 1, V0 = V2 = 0 at every bus."""
+    ops = SequenceOps(net)
+    zero = np.zeros(ops.n, dtype=complex)
+    return _compensation_arrays(
+        ops, zero, np.ones(ops.n, dtype=complex), zero, ops.phase_load_matrix(pcc_loads)
+    )
 
 
 def test_compensation_zero_for_balanced_transposed(ieee9):
-    inj = compensation_currents(ieee9, _flat_seq_voltages(ieee9))
-    for s in inj.values():
-        assert abs(s.zero) < 1e-15
-        assert abs(s.positive) < 1e-15
-        assert abs(s.negative) < 1e-15
+    inj = _flat_compensation(ieee9)
+    for zero, positive, negative in inj:
+        assert abs(zero) < 1e-15
+        assert abs(positive) < 1e-15
+        assert abs(negative) < 1e-15
 
 
 def test_compensation_single_coupling_hand_value():
@@ -231,7 +244,9 @@ def test_compensation_single_coupling_hand_value():
 
     v_from = SequenceSet(0j, 1.0 + 0j, 0.01 + 0.002j)
     v_to = SequenceSet(0j, 0.97 - 0.02j, 0.004 - 0.001j)
-    inj = compensation_currents(net, {1: v_from, 2: v_to})
+    ops = SequenceOps(net)
+    v0, v1, v2 = np.stack([v_from.as_array(), v_to.as_array()], axis=1)
+    inj = _compensation_arrays(ops, v0, v1, v2, ops.phase_load_matrix(None))
 
     # One-sided coupling z12 in Z gives Y[1,2] = -z12/(z1*z2); the
     # equivalent source is that admittance times the across-voltage.
@@ -241,9 +256,9 @@ def test_compensation_single_coupling_hand_value():
     y_off = -z12 / (z1 * z2)
     dv_neg = v_from.negative - v_to.negative
     expected = y_off * dv_neg
-    assert abs(inj[1].positive + expected) < 1e-14
-    assert abs(inj[2].positive - expected) < 1e-14
-    assert abs(inj[1].zero) < 1e-15 and abs(inj[2].zero) < 1e-15
+    assert abs(inj[0, 1] + expected) < 1e-14
+    assert abs(inj[1, 1] - expected) < 1e-14
+    assert abs(inj[0, 0]) < 1e-15 and abs(inj[1, 0]) < 1e-15
 
 
 def test_compensation_unbalanced_load_excites_negative_sequence():
@@ -251,9 +266,9 @@ def test_compensation_unbalanced_load_excites_negative_sequence():
     s_total = 0.9 + 0.3j
     third = s_total / 3
     pcc = {2: np.array([third * 1.05, third, third * 0.95])}
-    inj = compensation_currents(net, _flat_seq_voltages(net), pcc_loads=pcc)
-    assert abs(inj[2].negative) > 1e-4
-    assert abs(inj[2].positive) < 1e-12  # balanced correction is zero at V2=0
+    inj = _flat_compensation(net, pcc)
+    assert abs(inj[1, 2]) > 1e-4
+    assert abs(inj[1, 1]) < 1e-12  # balanced correction is zero at V2=0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -418,6 +433,136 @@ def test_solver_options_validation():
     for cap in ("max_outer", "max_nr"):
         with pytest.raises(ValueError, match=cap):
             SolverOptions(**{cap: 0})
+
+
+# ---------------------------------------------------------------------------
+# Load-coupled V0/V2 update
+# ---------------------------------------------------------------------------
+
+
+def test_coupled_matrix_is_the_derivative_of_the_v0_v2_residual(ieee9):
+    # Heavily unbalanced loads on every bus but one and large V0/V2, with
+    # ieee9's two pinned zero-sequence buses: central differences of
+    # Y v - c(v) in (Re, Im) of V0 and V2, with V1 held, are the matrix.
+    ops = SequenceOps(ieee9)
+    rng = np.random.default_rng(3)
+    n = ops.n
+    loads = rng.uniform(-1, 1, (n, 3)) + 1j * rng.uniform(-1, 1, (n, 3))
+    loads[8] = 0
+    v0, v2 = (0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(2))
+    v1 = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
+    s0, s2 = ops.lin0.solvable, ops.lin2.solvable
+    m = s0.size + s2.size
+    assert ops.lin0.pinned.size == 2
+    v0[ops.lin0.pinned] = 0  # the unknowns' complement holds zero volts
+    v0[ops.slack] = v2[ops.slack] = 0
+
+    def residual(x):
+        z = x[:m] + 1j * x[m:]
+        w0, w2 = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        w0[s0], w2[s2] = z[: s0.size], z[s0.size :]
+        comp = per_bus_compensation(ieee9, w0, v1, w2, loads)
+        f = np.concatenate([(ops.y0 @ w0)[s0] - comp[s0, 0], (ops.y2 @ w2)[s2] - comp[s2, 2]])
+        return np.concatenate([f.real, f.imag])
+
+    z = np.concatenate([v0[s0], v2[s2]])
+    x = np.concatenate([z.real, z.imag])
+    h = 1e-6
+    fd = np.empty((2 * m, 2 * m))
+    for j in range(2 * m):
+        e = np.zeros(2 * m)
+        e[j] = h
+        fd[:, j] = (residual(x + e) - residual(x - e)) / (2 * h)
+    jac = _coupled_matrix(ops, v0, v1, v2, _load_terms(loads))
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+def test_singular_coupled_factor_names_its_bus():
+    # One unknown bus in both sequences; scale an unbalanced load until the
+    # load sensitivity cancels the admittance along a real direction.
+    doc = json.loads(two_bus_case(load_p=0.0, load_q=0.0))
+    doc["branches"][0]["z0"] = [0.025, 0.25]
+    ops = SequenceOps(load_network(json.dumps(doc)))
+    loads = np.zeros((2, 3), dtype=complex)
+    loads[1] = [0.3 + 0.1j, 0.2 + 0.05j, 0.25 + 0.12j]
+    flat = np.zeros(2, dtype=complex), np.ones(2, dtype=complex), np.zeros(2, dtype=complex)
+    sens = ops.y02 - _coupled_matrix(ops, *flat, _load_terms(loads))
+    lam = np.linalg.eigvals(np.linalg.solve(ops.y02, sens))
+    real = lam.real[(np.abs(lam.imag) <= 1e-12 * np.abs(lam)) & (lam.real > 0)]
+    assert real.size
+    _CoupledStep(ops, *flat, _load_terms(loads))  # regular at unit scale
+    with pytest.raises(SequenceSolveError, match="load-coupled") as err:
+        _CoupledStep(ops, *flat, _load_terms(loads / real.max()))
+    assert err.value.bus_positions == [1]
+
+
+def test_coupled_step_rejects_current_into_a_pinned_bus(ieee9):
+    ops = SequenceOps(ieee9)
+    loads = ops.phase_load_matrix(None)
+    zero = np.zeros(ops.n, dtype=complex)
+    step = _CoupledStep(ops, zero, ops.flat_voltages(), zero, _load_terms(loads))
+    comp = np.zeros((ops.n, 3), dtype=complex)
+    comp[ops.lin0.pinned[0], 0] = 0.1
+    with pytest.raises(SequenceSolveError, match="ungrounded island") as err:
+        step.step(comp, zero, zero)
+    assert err.value.bus_positions == [int(ops.lin0.pinned[0])]
+
+
+def _stress_case(ieee9, desk13, k):
+    """Attachments and scaled scenarios of ``pv_stress`` scenario 0 at seed
+    4242: 100 % penetration on all three desk13 feeders, ratings times k."""
+    attachments = [attach(ieee9, b, desk13) for b in (5, 6, 8)]
+    drawn = [generate(desk13, [100], 1, feeder_seed(4242, i))[0] for i in range(3)]
+    scaled = [
+        replace(s, placements=tuple((node, ph, kw * k) for node, ph, kw in s.placements))
+        for s in drawn
+    ]
+    return attachments, scaled
+
+
+def test_coupled_solve_matches_tight_jacobi_reference(ieee9, desk13, profile):
+    # The PCC loads where the stress case converges at k = 3.75, near the
+    # nose: the per-sequence loop contracts slowly there, so the solve
+    # switches, and lands next to the plain loop run to 1e-12.
+    attachments, scen = _stress_case(ieee9, desk13, 3.75)
+    res = run_step(ieee9, attachments, 12, scen, profile=profile)
+    ops = step_ops(ieee9, attachments).seq
+    pcc = _pcc_loads(attachments, res.final_boundary.s_phase)
+    sol = solve_three_sequence(ops.net, pcc, ops=ops)
+    v0, v1, v2, passes = jacobi_three_sequence(ops.net, ops.phase_load_matrix(pcc), 1e-12)
+    assert sol.coupled
+    gap = max(np.max(np.abs(a - b)) for a, b in ((sol.v0, v0), (sol.v1, v1), (sol.v2, v2)))
+    assert gap <= 1e-7
+    assert sol.iterations_outer <= passes / 2
+
+
+def test_stress_failure_past_the_nose_is_newtons(ieee9, desk13, profile):
+    # k = 3.75 converges in 11 boundary iterations, and every solve after
+    # the one that switched starts coupled. At k = 3.875 the boundary loop
+    # drives the positive-sequence Newton solve past the nose.
+    attachments, scen = _stress_case(ieee9, desk13, 3.75)
+    res = run_step(ieee9, attachments, 12, scen, profile=profile)
+    assert res.fpi_iterations == 11
+    assert res.seq_solution.coupled
+    attachments, scen = _stress_case(ieee9, desk13, 3.875)
+    with pytest.raises(CosimError) as err:
+        run_step(ieee9, attachments, 12, scen, profile=profile)
+    assert err.value.side == "transmission"
+    assert isinstance(err.value.__cause__, NrNonConvergenceError)
+
+
+def test_no_solve_switches_on_the_bundled_grid(monkeypatch):
+    coupled = []
+
+    def recorded(*args, **kwargs):
+        sol = solve_three_sequence(*args, **kwargs)
+        coupled.append(sol.coupled)
+        return sol
+
+    monkeypatch.setattr("pvcosim.coupler.solve_three_sequence", recorded)
+    rs = driver.run(RunConfig.bundled(n_scenarios=2))
+    assert all(r.error is None for r in rs.records)
+    assert coupled and not any(coupled)
 
 
 # ---------------------------------------------------------------------------
