@@ -36,8 +36,7 @@ print(f"\nhead power per phase (kW): "
 print(f"total: {s.sum().real / 1e3:.2f} MW, {s.sum().imag / 1e3:.2f} Mvar")
 
 print("\n--- 30 MW of PV at node 671, solar noon ---")
-scen = PvScenario(scenario_id=0, penetration_pct=10,
-                  placements=(("671", "abc", 30000.0),), seed=0)
+scen = PvScenario(scenario_id=0, penetration_pct=10, placements=(("671", "abc", 30000.0),))
 sol_pv = solve_feeder(ops, source, loads=scenario_loads(ops, scen, 12, profile))
 s = sol_pv.pcc_power_kw
 print(f"head power per phase (kW): "

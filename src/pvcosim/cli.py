@@ -1,16 +1,15 @@
-"""Command-line interface: run sweeps, compare models, manage scenarios."""
+"""Command-line interface: run sweeps, compare models, validate inputs."""
 
 from __future__ import annotations
 
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .driver import RunConfig, emit, oracle_rows, run, validate_config
 from .feeder import load_feeder_file
 from .network import load_network_file
-from .scenarios import feeder_seed, generate, load_profile_file, save_scenarios
+from .scenarios import load_profile_file
 from .unified import AGREEMENT_PU
 
 
@@ -67,19 +66,6 @@ def _cmd_compare(cfg: RunConfig) -> int:
     return 0 if not failed and worst < AGREEMENT_PU else 1
 
 
-def _cmd_gen_scenarios(cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for k, (path, bus) in enumerate(cfg.feeders):
-        feeder = load_feeder_file(path)
-        seed = feeder_seed(cfg.master_seed, k)
-        scen = generate(feeder, list(cfg.levels), cfg.n_scenarios, seed, cfg.scenario_mode)
-        target = out / f"scenarios_bus{bus}.json"
-        save_scenarios(target, scen, seed, cfg.scenario_mode)
-        print(f"bus {bus}: {len(scen)} scenarios -> {target}")
-    return 0
-
-
 def _cmd_validate(cfg: RunConfig) -> int:
     net = load_network_file(cfg.network)
     print(f"network: {len(net.buses)} buses, {len(net.branches)} branches, "
@@ -134,11 +120,6 @@ def main(argv=None) -> int:
         "compare", parents=[common], help="co-simulation vs unified model over the grid"
     )
     p_cmp.set_defaults(func=_cmd_compare)
-
-    p_gen = sub.add_parser(
-        "gen-scenarios", parents=[common], help="generate and save PV deployment scenarios"
-    )
-    p_gen.set_defaults(func=_cmd_gen_scenarios)
 
     p_val = sub.add_parser(
         "validate", parents=[common], help="validate inputs and check the no-PV base case"

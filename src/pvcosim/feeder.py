@@ -107,13 +107,6 @@ class FeederModel:
         """The feeder's sweep operator, built on first use and then reused."""
         return FeederOps(self)
 
-    @cached_property
-    def _nodes_by_id(self) -> dict[str, FeederNode]:
-        return {n.id: n for n in self.nodes}
-
-    def node(self, node_id: str) -> FeederNode:
-        return self._nodes_by_id[node_id]
-
     def customers(self) -> tuple[FeederNode, ...]:
         return tuple(n for n in self.nodes if n.loads)
 

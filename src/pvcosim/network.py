@@ -100,10 +100,6 @@ class TransmissionNetwork:
     def bus_index(self) -> dict[int, int]:
         return {b.id: i for i, b in enumerate(self.buses)}
 
-    @property
-    def slack_bus(self) -> Bus:
-        return next(b for b in self.buses if b.kind == "slack")
-
 
 def _cx(value, what: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):

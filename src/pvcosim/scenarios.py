@@ -6,6 +6,9 @@ Customer selection uses numpy's PCG64 generator seeded from explicit
 incremental mode draws one customer permutation per scenario id and lets
 each penetration level take a prefix, so higher levels extend lower
 ones; independent mode resamples per level.
+
+A run's scenario set is replayed by drawing it again from the run's
+master seed and the feeder's index (``feeder_seed``), not from a file.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ __all__ = [
     "validate_draw",
     "load_profile",
     "load_profile_file",
-    "save_scenarios",
-    "load_scenarios",
     "DEFAULT_RATING_FACTORS",
 ]
 
@@ -65,36 +66,30 @@ class GenerationProfile:
 
 @dataclass(frozen=True)
 class PvScenario:
+    """One PV deployment at one penetration level.
+
+    To replay it, draw it again with ``generate`` from the same
+    ``(master_seed, feeder index)``; it is not read back from a file.
+    """
+
     scenario_id: int
     penetration_pct: int
     placements: tuple[tuple[str, str, float], ...]  # (node id, phases, rating kW)
-    seed: int
 
 
-def pv_rating(
-    customer_class: str,
-    feeder_peak_kw: float,
-    customer_count: int,
-    factors: dict[str, float] | None = None,
-) -> float:
+def pv_rating(customer_class: str, feeder_peak_kw: float, customer_count: int) -> float:
     """Nameplate kW for one new PV unit, sized from feeder peak demand."""
     if feeder_peak_kw <= 0 or customer_count <= 0:
         raise ValueError("peak demand and customer count must be positive")
-    factors = factors or DEFAULT_RATING_FACTORS
-    if customer_class not in factors:
+    if customer_class not in DEFAULT_RATING_FACTORS:
         raise ValueError(f"unknown customer class {customer_class!r}")
-    return feeder_peak_kw / customer_count * factors[customer_class]
+    return feeder_peak_kw / customer_count * DEFAULT_RATING_FACTORS[customer_class]
 
 
 def feeder_seed(master_seed: int, feeder_index: int) -> int:
     """Master seed of the scenario set drawn for the ``feeder_index``-th
     configured feeder."""
     ss = np.random.SeedSequence([int(master_seed), int(feeder_index)])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _scenario_seed(master_seed: int, scenario_id: int, level: int) -> int:
-    ss = np.random.SeedSequence([int(master_seed), int(scenario_id), int(level)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -114,7 +109,6 @@ def generate(
     n_scenarios: int,
     master_seed: int,
     mode: str = "incremental",
-    rating_factors: dict[str, float] | None = None,
 ) -> list[PvScenario]:
     """Draw ``n_scenarios`` deployments for every penetration level."""
     customers = feeder.customers()
@@ -123,10 +117,7 @@ def generate(
     validate_draw(levels, mode)
 
     count = len(customers)
-    ratings = {
-        n.id: pv_rating(n.customer_class, feeder.peak_kw, count, rating_factors)
-        for n in customers
-    }
+    ratings = {n.id: pv_rating(n.customer_class, feeder.peak_kw, count) for n in customers}
 
     out: list[PvScenario] = []
     for sid in range(n_scenarios):
@@ -148,14 +139,7 @@ def generate(
                 (customers[i].id, "".join(sorted(customers[i].loads)), ratings[customers[i].id])
                 for i in sorted(chosen)
             )
-            out.append(
-                PvScenario(
-                    scenario_id=sid,
-                    penetration_pct=level,
-                    placements=placements,
-                    seed=_scenario_seed(master_seed, sid, level),
-                )
-            )
+            out.append(PvScenario(scenario_id=sid, penetration_pct=level, placements=placements))
     return out
 
 
@@ -168,37 +152,3 @@ def load_profile_file(path) -> GenerationProfile:
     with open(path, encoding="utf-8") as fh:
         return load_profile(fh.read())
 
-
-def save_scenarios(path, scenarios: list[PvScenario], master_seed: int, mode: str) -> None:
-    """Serialize a scenario set so an experiment can be replayed bit-exactly."""
-    doc = {
-        "master_seed": master_seed,
-        "mode": mode,
-        "levels": sorted({s.penetration_pct for s in scenarios}),
-        "scenarios": [
-            {
-                "scenario_id": s.scenario_id,
-                "penetration_pct": s.penetration_pct,
-                "seed": s.seed,
-                "placements": [[n, p, r] for n, p, r in s.placements],
-            }
-            for s in scenarios
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-
-
-def load_scenarios(path) -> tuple[list[PvScenario], int, str]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    scenarios = [
-        PvScenario(
-            scenario_id=int(s["scenario_id"]),
-            penetration_pct=int(s["penetration_pct"]),
-            placements=tuple((str(n), str(p), float(r)) for n, p, r in s["placements"]),
-            seed=int(s["seed"]),
-        )
-        for s in doc["scenarios"]
-    ]
-    return scenarios, int(doc["master_seed"]), str(doc["mode"])

@@ -98,11 +98,6 @@ def phase_currents(s_phase: np.ndarray, v_phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def phase_power(v_phase: np.ndarray, i_phase: np.ndarray) -> np.ndarray:
-    """Per-phase complex power (three-phase-base pu) from v and i."""
-    return np.asarray(v_phase) * np.conj(np.asarray(i_phase)) / 3.0
-
-
 def unbalance_percent(va: complex, vb: complex, vc: complex) -> float:
     """Voltage unbalance factor 100*|V2|/|V1| for a phase triple."""
     s = phase_to_sequence(va, vb, vc)

@@ -99,7 +99,7 @@ class OuterNonConvergenceError(PowerFlowError):
     def __init__(self, iterations: int, delta: float):
         super().__init__(
             f"sequence-coupling loop did not converge in {iterations} passes "
-            f"(last positive-sequence change {delta:.3e} pu)"
+            f"(largest sequence-voltage change {delta:.3e} pu)"
         )
         self.iterations = iterations
         self.delta = delta
@@ -137,10 +137,6 @@ class SeqSolution:
 
     def index_of(self, bus_id: int) -> int:
         return self.bus_ids.index(bus_id)
-
-    def phase_voltages(self, bus_id: int) -> np.ndarray:
-        i = self.index_of(bus_id)
-        return A_SYN @ np.array([self.v0[i], self.v1[i], self.v2[i]])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from pvcosim.driver import (
     validate_config,
 )
 from pvcosim.feeder import FeederOps, forest
-from pvcosim.scenarios import feeder_seed, load_scenarios
+from pvcosim.scenarios import feeder_seed
 from pvcosim.transmission import SequenceOps
 from pvcosim.unified import UnifiedOps
 
@@ -582,40 +582,6 @@ def test_cli_compare_covers_every_hour(tmp_path, capsys):
     with open(tmp_path / "compare.csv") as fh:
         cases = {(r["level"], r["hour"]) for r in csv.DictReader(fh)}
     assert cases == {("0", "7"), ("0", "12"), ("10", "7"), ("10", "12")}
-
-
-def test_cli_gen_scenarios(tmp_path):
-    rc = cli_main(
-        [
-            "gen-scenarios",
-            "--levels",
-            "10,20",
-            "--scenarios",
-            "2",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert rc == 0
-    files = sorted(tmp_path.glob("scenarios_bus*.json"))
-    assert len(files) == 3
-    scen, _seed, mode = load_scenarios(files[0])
-    assert len(scen) == 4
-    assert mode == "incremental"
-
-
-def test_cli_gen_scenarios_match_run_draws(tmp_path):
-    rc = cli_main(
-        ["gen-scenarios", "--levels", "10,20", "--scenarios", "2", "--seed", "5",
-         "--out", str(tmp_path)]
-    )
-    assert rc == 0
-    cfg = small_config(levels=(10, 20), n_scenarios=2, master_seed=5)
-    runner = _Runner(cfg)
-    for k, (_path, bus) in enumerate(cfg.feeders):
-        scen, seed, _mode = load_scenarios(tmp_path / f"scenarios_bus{bus}.json")
-        assert seed == feeder_seed(5, k)
-        assert scen == list(runner.scenarios[k].values())
 
 
 def test_cli_jobs_parallel_matches_serial(tmp_path):

@@ -256,7 +256,7 @@ def test_pcc_power_zero_load():
 
 def test_reverse_flow_when_pv_exceeds_load():
     model = load_feeder(small_feeder(load_kw=1000.0, load_kvar=300.0))
-    scen = PvScenario(0, 100, placements=(("end", "a", 5000.0),), seed=1)
+    scen = PvScenario(0, 100, placements=(("end", "a", 5000.0),))
     ops = FeederOps(model)
     sol = solve_feeder(ops, BAL, loads=scenario_loads(ops, scen, 12, noon_profile()))
     assert sol.pcc_power_kw.sum().real < 0
@@ -265,7 +265,7 @@ def test_reverse_flow_when_pv_exceeds_load():
 def test_energy_audit(desk13, profile):
     scen = PvScenario(0, 50, placements=tuple(
         (n.id, "".join(sorted(n.loads)), 2000.0) for n in desk13.customers()[:5]
-    ), seed=1)
+    ))
     ops = FeederOps(desk13)
     loads = scenario_loads(ops, scen, 12, profile)
     sol = solve_feeder(ops, BAL, tol=1e-10, loads=loads)
@@ -315,12 +315,13 @@ def test_kcl_at_every_node(desk13):
 
 def test_voltage_drop_consistency(desk13):
     sol = solve_feeder(desk13, BAL, tol=1e-10)
+    nodes = {n.id: n for n in desk13.nodes}
     for ln in desk13.lines:
         vf = sol.voltage(ln.from_node)
         vt = sol.voltage(ln.to_node)
         i = sol.line_currents[(ln.from_node, ln.to_node)]
         drop = ln.z_matrix() @ i
-        child = desk13.node(ln.to_node)
+        child = nodes[ln.to_node]
         for ph in child.phases:
             k = "abc".index(ph)
             assert abs((vf[k] - vt[k]) - drop[k]) <= 1e-9 * max(abs(vf[k]), 1.0)
@@ -330,7 +331,7 @@ def test_monotone_pv_response(desk13):
     ops = FeederOps(desk13)
     prev = np.inf
     for rating in (0.0, 1000.0, 2000.0, 4000.0):
-        scen = PvScenario(0, 10, placements=(("671", "abc", rating),), seed=1)
+        scen = PvScenario(0, 10, placements=(("671", "abc", rating),))
         sol = solve_feeder(ops, BAL, loads=scenario_loads(ops, scen, 12, noon_profile()))
         p = sol.pcc_power_kw.sum().real
         assert p <= prev + 1e-9
@@ -346,13 +347,13 @@ def test_determinism(desk13):
 
 def test_scenario_loads_night_is_identity(desk13, profile):
     ops = FeederOps(desk13)
-    scen = PvScenario(0, 10, placements=(("671", "abc", 1000.0),), seed=1)
+    scen = PvScenario(0, 10, placements=(("671", "abc", 1000.0),))
     assert scenario_loads(ops, scen, 2, profile).tobytes() == ops.loads.tobytes()
 
 
 def test_scenario_loads_scales_linearly(desk13):
     ops = FeederOps(desk13)
-    scen = PvScenario(0, 10, placements=(("671", "a", 100.0),), seed=1)
+    scen = PvScenario(0, 10, placements=(("671", "a", 100.0),))
     loads = scenario_loads(ops, scen, 10, noon_profile())  # factor 0.5
     i = ops.index["671"]
     assert ops.loads[i, 0] - loads[i, 0] == pytest.approx(50.0)
@@ -363,7 +364,7 @@ def test_scenario_loads_total_injection(desk13, profile):
     placements = tuple(
         (n.id, "".join(sorted(n.loads)), 1500.0) for n in desk13.customers()
     )
-    scen = PvScenario(0, 100, placements=placements, seed=1)
+    scen = PvScenario(0, 100, placements=placements)
     delta = (ops.loads.sum() - scenario_loads(ops, scen, 12, profile).sum()).real
     assert delta == pytest.approx(1500.0 * len(placements))
 
@@ -391,7 +392,7 @@ def test_non_convergence_reports_change(desk13):
     ids=["night", "noon", "single_phase", "two_on_one_node"],
 )
 def test_scenario_loads_match_applied_model(desk13, profile, hour, placements):
-    scen = PvScenario(0, 10, placements=placements, seed=1)
+    scen = PvScenario(0, 10, placements=placements)
     loads = scenario_loads(FeederOps(desk13), scen, hour, profile)
     expected = FeederOps(fold_scenario(desk13, scen, hour, profile)).loads
     assert loads.dtype == expected.dtype and loads.shape == expected.shape
@@ -399,7 +400,7 @@ def test_scenario_loads_match_applied_model(desk13, profile, hour, placements):
 
 
 def test_scenario_loads_unknown_node(desk13, profile):
-    scen = PvScenario(0, 10, placements=(("nowhere", "a", 100.0),), seed=1)
+    scen = PvScenario(0, 10, placements=(("nowhere", "a", 100.0),))
     with pytest.raises(FeederDataError, match="unknown node"):
         scenario_loads(FeederOps(desk13), scen, 12, profile)
 
@@ -408,7 +409,7 @@ def test_apply_scenario_unknown_node(desk13, profile):
     # Applying a scenario rejects an unknown node at every hour, also at
     # night, when the placement would inject nothing.
     ops = FeederOps(desk13)
-    scen = PvScenario(0, 10, placements=(("671", "abc", 500.0), ("nowhere", "a", 100.0)), seed=1)
+    scen = PvScenario(0, 10, placements=(("671", "abc", 500.0), ("nowhere", "a", 100.0)))
     for hour in (2, 12):
         with pytest.raises(FeederDataError, match="unknown node nowhere"):
             scenario_loads(ops, scen, hour, profile)
@@ -420,9 +421,9 @@ def test_scenario_loads_rejects_a_phase_the_node_lacks(desk13, profile, phases):
     # none, would produce nothing, so it is rejected at every hour.
     ops = FeederOps(desk13)
     assert "".join(ph for ph, m in zip("abc", ops.mask[ops.index["684"]]) if m) == "ac"
-    scen = PvScenario(0, 10, placements=(("684", phases, 1000.0),), seed=1)
+    scen = PvScenario(0, 10, placements=(("684", phases, 1000.0),))
     for hour in (2, 12):
         with pytest.raises(FeederDataError, match=f"phases {phases!r} of node 684, which has 'ac'"):
             scenario_loads(ops, scen, hour, profile)
-    ok = PvScenario(0, 10, placements=(("684", "ac", 1000.0),), seed=1)
+    ok = PvScenario(0, 10, placements=(("684", "ac", 1000.0),))
     assert scenario_loads(ops, ok, 2, profile).tobytes() == ops.loads.tobytes()

@@ -1,5 +1,5 @@
-"""Source hygiene checks: unused imports, dangling exports and the
-oracle's independence from the solvers it checks."""
+"""Source hygiene checks: unused imports, dangling exports, exports that
+only tests use and the oracle's independence from the solvers it checks."""
 
 import ast
 import importlib
@@ -96,9 +96,56 @@ def test_export_check_sees_both_kinds_of_name():
     ]
 
 
+def referenced_names(source: str) -> set[str]:
+    """Every name a module uses, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unused_exports(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.name`` for each ``__all__`` entry of ``modules`` that no
+    source in ``users`` references."""
+    used = set().union(*map(referenced_names, users))
+    return [
+        f"{module}.{name}"
+        for module, source in modules.items()
+        for owner, name in exported_names(source)
+        if owner == "" and name not in used
+    ]
+
+
+def test_every_export_has_a_caller_outside_tests():
+    """An ``__all__`` name that only tests use is API kept alive for its tests."""
+    modules = {
+        p.stem: p.read_text(encoding="utf-8")
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    callers = [
+        p.read_text(encoding="utf-8")
+        for folder in (ROOT / "demos", ROOT / "bench")
+        for p in sorted(folder.glob("*.py"))
+    ]
+    assert unused_exports(modules, [*modules.values(), *callers]) == []
+
+
+def test_export_caller_check_flags_unused_and_keeps_used():
+    module = "__all__ = ['by_name', 'by_attr', 'by_import', 'unused']\ndef unused():\n    pass\n"
+    users = [module, "by_name()\nx.by_attr\n", "from m import by_import\n"]
+    assert unused_exports({"m": module}, users) == ["m.unused"]
+
+
 def test_oracle_shares_no_solver_code():
     """The unified solve checks the co-simulation, so it must not reuse its solvers."""
-    tree = ast.parse((PACKAGE / "unified.py").read_text(encoding="utf-8"))
+    source = (PACKAGE / "unified.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
     imported: dict[str, set[str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -115,6 +162,4 @@ def test_oracle_shares_no_solver_code():
     assert imported.get("transmission", set()) <= {"PowerFlowError"}
     assert imported.get("network", set()) <= {"TransmissionNetwork"}
     assert "feeder" not in imported
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert names.isdisjoint({"bibc", "bibc_t", "solve_feeder", "admittance_blocks"})
+    assert referenced_names(source).isdisjoint({"bibc", "bibc_t", "solve_feeder", "admittance_blocks"})

@@ -14,7 +14,7 @@ def test_bundled_case_shape(ieee9):
     assert len(ieee9.buses) == 9
     assert len(ieee9.branches) == 9
     assert len(ieee9.generators) == 3
-    assert ieee9.slack_bus.id == 1
+    assert [b.id for b in ieee9.buses if b.kind == "slack"] == [1]
 
 
 def test_empty_case_rejected():

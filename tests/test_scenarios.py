@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from pvcosim import generate, load_feeder, load_profile, pv_rating
-from pvcosim.scenarios import (
-    GenerationProfile,
-    load_scenarios,
-    save_scenarios,
-)
+from pvcosim.scenarios import GenerationProfile
 
 
 def synthetic_feeder(n_customers=20, commercial_every=5):
@@ -194,12 +190,3 @@ def test_levels_validated(desk13):
     with pytest.raises(ValueError, match="mode"):
         generate(desk13, [10], 1, master_seed=1, mode="chaotic")
 
-
-def test_serialization_roundtrip(tmp_path, desk13):
-    scen = generate(desk13, [10, 40], 3, master_seed=77)
-    path = tmp_path / "scenarios.json"
-    save_scenarios(path, scen, master_seed=77, mode="incremental")
-    loaded, seed, mode = load_scenarios(path)
-    assert loaded == scen
-    assert seed == 77
-    assert mode == "incremental"

@@ -19,7 +19,7 @@ from pvcosim.coupler import CosimError, _pcc_loads, step_ops
 from pvcosim.driver import RunConfig
 from pvcosim.network import Branch, Bus, TransmissionNetwork
 from pvcosim.scenarios import feeder_seed
-from pvcosim.sequences import A_SYN, SequenceSet, sequences_from_phases
+from pvcosim.sequences import A_SYN, SequenceSet, phases_from_sequences, sequences_from_phases
 from pvcosim.transmission import (
     NrNonConvergenceError,
     OuterNonConvergenceError,
@@ -399,7 +399,7 @@ def test_two_bus_unbalanced_matches_phase_frame_oracle():
 
     z_seq = np.diag([0.025 + 0.25j, 0.01 + 0.1j, 0.01 + 0.1j])
     v_ref = phase_frame_two_bus(z_seq, s_ph)
-    v_pkg = sol.phase_voltages(2)
+    v_pkg = phases_from_sequences(sol.v0, sol.v1, sol.v2)[sol.index_of(2)]
     assert np.max(np.abs(v_pkg - v_ref)) < 1e-6
 
 
@@ -416,14 +416,14 @@ def test_two_bus_coupled_matches_phase_frame_oracle():
     z_seq[1, 2] = 0.002 + 0.015j
     z_seq[2, 1] = 0.002 + 0.015j
     v_ref = phase_frame_two_bus(z_seq, s_ph)
-    v_pkg = sol.phase_voltages(2)
+    v_pkg = phases_from_sequences(sol.v0, sol.v1, sol.v2)[sol.index_of(2)]
     assert np.max(np.abs(sol.v2)) > 1e-5  # coupling actually excited
     assert np.max(np.abs(v_pkg - v_ref)) < 1e-6
 
 
 def test_outer_non_convergence_raises(ieee9):
     pcc = {5: np.array([0.2 + 0.05j, 0.15 + 0.04j, 0.18 + 0.05j])}
-    with pytest.raises(OuterNonConvergenceError):
+    with pytest.raises(OuterNonConvergenceError, match="largest sequence-voltage change"):
         solve_three_sequence(ieee9, pcc, SolverOptions(max_outer=1))
 
 
@@ -678,8 +678,9 @@ def test_power_balance(ieee9):
         ops = SequenceOps(ieee9)
 
         total_gen = sol.slack_power_pu
+        slack = next(b.id for b in ieee9.buses if b.kind == "slack")
         for gbus, p_set, _v in ieee9.generators:
-            if gbus == ieee9.slack_bus.id:
+            if gbus == slack:
                 continue
             i = sol.index_of(gbus)
             # generator injection = network current + local balanced load

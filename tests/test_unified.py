@@ -13,7 +13,7 @@ from pvcosim import (
     solve_three_sequence,
     solve_unified,
 )
-from pvcosim.coupler import CoSimOptions, _feeder_loads
+from pvcosim.coupler import CoSimOptions, _feeder_loads, source_voltage
 from pvcosim.driver import RunConfig, _Runner
 from pvcosim.network import Bus
 from pvcosim.scenarios import feeder_seed
@@ -75,12 +75,7 @@ def test_compare_with_itself_is_zero(ieee9, attachments):
     us = solve_unified(ieee9, attachments, 12, None)
     mirrored = replace(
         us,
-        pcc_voltage=np.array(
-            [
-                cs.seq_solution.phase_voltages(att.bus)
-                for att in attachments
-            ]
-        ),
+        pcc_voltage=source_voltage(cs.seq_solution, attachments),
     )
     rep = compare(cs, mirrored, attachments)
     assert rep["max_diff"] < 1e-14
