@@ -20,14 +20,14 @@ print(f"network: {len(net.buses)} buses, {len(net.branches)} branches, "
       f"{len(net.generators)} generators\n")
 
 v, info = solve_positive_nr(net)
-print("positive-sequence Newton-Raphson:")
+print("positive-sequence Newton-Raphson (chord steps once a step contracts 20-fold):")
 print(f"  converged in {info['iterations']} iterations, "
       f"final mismatch {info['mismatch']:.2e} pu")
 print("  mismatch history:", "  ".join(f"{h:.1e}" for h in info["history"]))
 
 sol = solve_three_sequence(net)
 print("\nbalanced three-sequence solve (degenerates to one sequence):")
-print(f"  outer passes {sol.iterations_outer}, max |V0| {abs(sol.v0).max():.1e}, "
+print(f"  Newton steps {sol.iterations_nr}, max |V0| {abs(sol.v0).max():.1e}, "
       f"max |V2| {abs(sol.v2).max():.1e}")
 print(f"  slack power {sol.slack_power_pu.real:+.4f} {sol.slack_power_pu.imag:+.4f}j pu")
 
@@ -43,7 +43,7 @@ for b in net.buses:
         pcc[b.id] = np.array([1.02 * s, s, 0.98 * s]) - s
 unb = solve_three_sequence(net, pcc)
 print(f"\nwith 2% per-phase load unbalance at the load buses "
-      f"({unb.iterations_outer} outer passes):")
+      f"({unb.iterations_nr} Newton steps for all three sequences):")
 print(f"{'bus':>4} {'|V1|':>8} {'|V2|':>10} {'vuf %':>8}")
 for i, b in enumerate(net.buses):
     vuf = 100 * abs(unb.v2[i]) / abs(unb.v1[i])

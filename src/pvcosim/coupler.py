@@ -7,8 +7,12 @@ those voltages, in one forest sweep (``feeder.forest``), and returns the
 PCC powers. ``run_step`` repeats the pair until no boundary variable
 (phase voltage or phase power, both in per-unit) moves by more than the
 boundary tolerance between consecutive iterations; each
-``BoundaryState`` carries that change as its ``error``.
-``verify_fixed_point`` runs the same pair once at the final boundary.
+``BoundaryState`` carries that change as its ``error``. Within a case,
+each half-step starts from its previous solution: the transmission
+Newton from its voltages and LU factor, the feeder sweep from its node
+voltages; the first of each starts cold, so cases stay independent.
+``verify_fixed_point`` runs the same pair once at the final boundary,
+with the feeder sweep cold.
 
 Both read their operators from ``step_ops``: the ``SequenceOps`` of the
 effective network and the feeder forest are built once and cached on the
@@ -252,13 +256,24 @@ def _solve_transmission(
 
 
 def _solve_feeders(
-    attachments, feeder_ops: FeederOps, loads: np.ndarray, v_rows: np.ndarray, opts: CoSimOptions
+    attachments,
+    feeder_ops: FeederOps,
+    loads: np.ndarray,
+    v_rows: np.ndarray,
+    opts: CoSimOptions,
+    start: FeederSolution | None = None,
 ) -> tuple[FeederSolution, np.ndarray]:
-    """Sweep every feeder at its PCC voltage in one call; return the
-    forest's solution and the per-attachment PCC powers (system pu)."""
+    """Sweep every feeder at its PCC voltage in one call, from ``start``
+    when given; return the forest's solution and the per-attachment PCC
+    powers (system pu)."""
     try:
         fsol = solve_feeder(
-            feeder_ops, v_rows, tol=opts.feeder_tol, max_iter=opts.feeder_max_iter, loads=loads
+            feeder_ops,
+            v_rows,
+            tol=opts.feeder_tol,
+            max_iter=opts.feeder_max_iter,
+            loads=loads,
+            start=start,
         )
     except Exception as exc:
         raise CosimError(str(exc), side="distribution") from exc
@@ -291,7 +306,7 @@ def run_step(
     seq_sol: SeqSolution | None = None
     for it in range(1, opts.max_fpi + 1):
         seq_sol, v_rows = _solve_transmission(attachments, s_rows, ops.seq, solver_opts, seq_sol)
-        fsol, s_rows = _solve_feeders(attachments, ops.feeders, loads, v_rows, opts)
+        fsol, s_rows = _solve_feeders(attachments, ops.feeders, loads, v_rows, opts, fsol)
         state = BoundaryState(v_phase=v_rows, s_phase=s_rows, iteration=it)
         state = replace(state, error=boundary_error(history[-1], state))
         history.append(state)

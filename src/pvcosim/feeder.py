@@ -435,6 +435,7 @@ def solve_feeder(
     max_iter: int = 60,
     *,
     loads: np.ndarray | None = None,
+    start: FeederSolution | None = None,
 ) -> FeederSolution:
     """Forward-backward sweep of one feeder, or of a forest, at fixed source voltages.
 
@@ -442,7 +443,10 @@ def solve_feeder(
     line-to-neutral base: one row of three complex phasors per feeder,
     shape ``(k, 3)``, or three phasors for a single feeder. ``loads``
     replaces the feeders' own node loads (kW + j kvar, shape of
-    ``FeederOps.loads``), e.g. with ``scenario_loads``.
+    ``FeederOps.loads``), e.g. with ``scenario_loads``. The sweep starts
+    at flat source voltages, or from ``start``, a solution on the same
+    ``ops``: its node voltages shifted by each feeder's change in source
+    voltage.
 
     Each round is the matrix form of J.-H. Teng, "A direct approach for
     distribution system load flow solutions", IEEE Trans. Power Delivery
@@ -473,6 +477,11 @@ def solve_feeder(
     s_nz = s[nz]
     src_node = src[owner]
     v = src_node
+    if start is not None:
+        # A sweep's root voltage is its source less the transformer's drop.
+        head = start.branch_currents[ops.roots]
+        src_start = start.v[ops.roots] + np.einsum("kij,kj->ki", ops.z[ops.roots], head)
+        v = start.v + (src - src_start)[owner]
     i_line = np.zeros_like(v)
     inode = np.zeros_like(v)
 

@@ -253,8 +253,8 @@ def build_sequence_admittance(
     """Dense nodal admittance matrices ``(y0, y1, y2)`` of the sequence networks.
 
     Each sequence takes the diagonal of every branch's
-    :meth:`Branch.admittance_blocks`; inter-sequence coupling is handled
-    separately as compensation currents.
+    :meth:`Branch.admittance_blocks`; the transmission solver adds the
+    inter-sequence coupling blocks (``SequenceOps.y3``).
     """
     idx = net.bus_index()
     n = len(net.buses)

@@ -1,36 +1,38 @@
 """Three-sequence transmission power flow.
 
-The sequence-frame method of Abdel-Akher, Nor and Rashid (IEEE Trans.
-Power Systems 20(3), 2005). The positive-sequence network is solved with
-a full Newton-Raphson in polar form; the negative- and zero-sequence
-networks are linear solves. Anything that couples the sequences
-(inter-sequence branch coupling, unbalanced constant-power loads) is
-represented as compensation current injections recomputed from the
-latest voltage estimate, and the whole thing is iterated until no
-sequence voltage moves by more than ``tol_seq``.
-
-Loads are constant-power per phase. A balanced bus load is the triple
+The sequence-frame model of Abdel-Akher, Nor and Rashid (IEEE Trans.
+Power Systems 20(3), 2005): a zero-, a positive- and a negative-sequence
+network, coupled by the inter-sequence admittance of untransposed
+branches and by unbalanced constant-power loads. Loads are
+constant-power per phase. A balanced bus load is the triple
 ``(S/3, S/3, S/3)``; PCC loads arrive as explicit per-phase triples.
 
-Constant-power loads also couple V0 and V2. To first order a loaded
-bus's compensation moves by ``dc = B conj(dV)`` with
-``B = A_ANA diag(3 conj(s_ph / v_ph**2)) conj(A_SYN)``, so a V2 change
-draws zero-sequence current and a V0 change negative-sequence current,
-and the per-sequence solves swing between the two. Near the voltage
-nose that swing contracts slowly. A call therefore switches once, from
-the second pass on, when the largest V0/V2 change of a pass is not below
-``SLOW_CONTRACTION`` times the previous pass's: right after the next
-Newton solve it factors ``Y - B conj(.)`` over the solvable zero- and
-negative-sequence buses, in real form, and every later pass takes one
-Newton step of ``Y v - c(v) = 0`` for (V0, V2) on that factor. The
-solution records the switch (``SeqSolution.coupled``); a call that
-starts from a coupled solution factors right after its first Newton
-solve.
+One Newton-Raphson solves all three sequences. Its unknowns are V1 in
+polar form (the angle at pv and pq buses, the magnitude at pq buses) and
+Re/Im of V0 and V2 at the buses with a path to ground. The slack is
+grounded, and a zero- or negative-sequence island without such a path is
+held at zero volts and must receive no current. With ``I = Y v +
+A_ANA conj(3 s_ph / v_ph)``, the current the generators inject, where
+``Y`` is the stacked 3n x 3n sequence admittance with the coupled
+branches' inter-sequence blocks, the equations are the positive-sequence
+power mismatch ``v1 conj(I1) - p_gen`` and the currents ``I0`` and
+``I2``. A loaded bus adds ``D conj(dv)`` to ``dI = Y dv``, with the 3x3
+block ``D = -A_ANA diag(3 conj(s_ph / v_ph**2)) conj(A_SYN)``; the polar
+chain rule of V1 gives the rest of the Jacobian.
+
+A step reuses the last LU factor (a chord step) while the mismatch falls
+below ``CHORD_CONTRACTION`` times the previous step's, and otherwise the
+next step factors the Jacobian at its iterate. A chord step that does
+not lower the mismatch is taken again as a Newton step. The factor
+travels in the returned ``SeqSolution``, so a solve started from one (the
+next boundary iteration of a co-simulation case) begins with chord steps.
+A solve whose mismatch grows past ``DIVERGENCE`` times its starting value
+stops there: past the voltage nose no operating point exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +49,6 @@ __all__ = [
     "NrNonConvergenceError",
     "SingularJacobianError",
     "SequenceSolveError",
-    "OuterNonConvergenceError",
     "solve_positive_nr",
     "solve_three_sequence",
     "slack_power",
@@ -55,17 +56,17 @@ __all__ = [
 ]
 
 
-# The one LU path: LAPACK's factor/solve, real (Newton) and complex (V0, V2).
+# The one LU path: LAPACK's real factor/solve.
 _DGETRF, _DGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
-_ZGETRF, _ZGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
-# The outer loop switches to the load-coupled V0/V2 update once the largest
-# V0/V2 change of a pass is not below this share of the previous pass's.
-SLOW_CONTRACTION = 0.5
-
-# The rows of A_ANA and the conjugated columns of A_SYN for sequences (0, 2).
-_ANA02 = A_ANA[[0, 2]]
-_SYN02 = np.conj(A_SYN[:, [0, 2]])
+# A step keeps the last factor while the mismatch falls below this share
+# of the previous step's mismatch. A larger share keeps weaker chord steps:
+# at 0.1 the stress workload spends about a tenth more time here.
+CHORD_CONTRACTION = 0.05
+# A solve stops once its mismatch exceeds this multiple of its start. On
+# the three benchmark workloads no converging solve's mismatch rises above
+# 1.02 times its start.
+DIVERGENCE = 10.0
 
 
 class PowerFlowError(RuntimeError):
@@ -95,28 +96,16 @@ class SequenceSolveError(PowerFlowError):
         self.bus_positions = bus_positions
 
 
-class OuterNonConvergenceError(PowerFlowError):
-    def __init__(self, iterations: int, delta: float):
-        super().__init__(
-            f"sequence-coupling loop did not converge in {iterations} passes "
-            f"(largest sequence-voltage change {delta:.3e} pu)"
-        )
-        self.iterations = iterations
-        self.delta = delta
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     tol_nr: float = 1e-8
-    tol_seq: float = 1e-6
-    max_outer: int = 30
     max_nr: int = 20
 
     def __post_init__(self):
-        if self.tol_nr <= 0 or self.tol_seq <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_outer < 1 or self.max_nr < 1:
-            raise ValueError("max_outer and max_nr must be at least 1")
+        if self.tol_nr <= 0:
+            raise ValueError("tol_nr must be positive")
+        if self.max_nr < 1:
+            raise ValueError("max_nr must be at least 1")
 
 
 @dataclass
@@ -128,12 +117,14 @@ class SeqSolution:
     v1: np.ndarray
     v2: np.ndarray
     slack_power_pu: complex
-    iterations_outer: int
+    iterations_outer: int  # always 1: one Newton solves all three sequences
     iterations_nr: int
     max_mismatch: float
     comp_injections: np.ndarray  # (n, 3) sequence current injections
     loads_phase: np.ndarray  # (n, 3) per-phase powers actually served
-    coupled: bool = False  # V0/V2 came from the load-coupled update
+    # The LU factor of the last Newton matrix; a solve started from this
+    # solution takes its first steps on it.
+    factor: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def index_of(self, bus_id: int) -> int:
         return self.bus_ids.index(bus_id)
@@ -145,12 +136,12 @@ class SeqSolution:
 
 
 class SequenceOps:
-    """Index maps, admittances and factorizations reused across solves."""
+    """Index maps and admittances reused across solves."""
 
     def __init__(self, net: TransmissionNetwork):
         self.net = net
         self.idx = net.bus_index()
-        self.n = len(net.buses)
+        self.n = n = len(net.buses)
         self.bus_ids = tuple(b.id for b in net.buses)
 
         self.y0, self.y1, self.y2 = build_sequence_admittance(net)
@@ -161,68 +152,22 @@ class SequenceOps:
         self.pq = np.array([i for i, k in enumerate(kinds) if k == "pq"], dtype=int)
         self.pvpq = np.concatenate([self.pv, self.pq])
 
-        # Newton's equations are P at pv and pq buses, then Q at pq buses;
-        # its unknowns are the angles at pv and pq buses, then the
-        # magnitudes at pq buses. ``nr_bus`` is the bus of each equation.
-        # Viewed as floats, a complex array holds (re, im) pairs, so
-        # ``mismatch_take`` picks the real or imaginary part of each
-        # equation's bus from a power mismatch, and ``jac_take`` picks
-        # each Jacobian entry from the float view of the n x 2n matrix
-        # ``[dS/dVa | dS/dVm]``.
-        n_p = self.pvpq.size
-        self.diag = np.diag_indices(self.n)
-        self.nr_bus = np.concatenate([self.pvpq, self.pq])
-        part = (np.arange(self.nr_bus.size) >= n_p).astype(int)  # 0: P (real), 1: Q (imag)
-        self.mismatch_take = 2 * self.nr_bus + part
-        unknown_col = np.concatenate([self.pvpq, self.n + self.pq])
-        self.jac_take = (
-            self.nr_bus[:, None] * (4 * self.n) + 2 * unknown_col[None, :] + part[:, None]
-        )
-
         # A bus's v_setpoint equals its generator's v_set (validate_network);
         # only a slack bus without a generator needs its own.
-        self.v_set = np.ones(self.n)
+        self.v_set = np.ones(n)
         if net.buses[self.slack].v_setpoint is not None:
             self.v_set[self.slack] = net.buses[self.slack].v_setpoint
-        self.p_gen = np.zeros(self.n)
+        self.p_gen = np.zeros(n)
         for gbus, p_set, v_set in net.generators:
             i = self.idx[gbus]
             self.v_set[i] = v_set
             if i != self.slack:
                 self.p_gen[i] = p_set
-
         self.static_loads = np.array([complex(b.load_p, b.load_q) for b in net.buses])
-        self.lin2 = _LinearSequenceSolver(self.y2, self.slack)
-        self.lin0 = _LinearSequenceSolver(self.y0, self.slack)
-
-        # The load-coupled V0/V2 system (``_CoupledStep``) has one complex
-        # unknown per solvable bus of the zero, then the negative sequence,
-        # at ``v02_flat`` in the stacked (V0, V2) and at ``comp_take`` in a
-        # flattened compensation matrix. ``y02`` is its admittance, block
-        # diagonal, in the real form [[G, -H], [H, G]] of G + jH. Entry
-        # ``v02_src`` of the per-bus sensitivities, flattened from
-        # (n, 2, 2), goes to entry ``v02_dest`` of the flattened m x m
-        # sensitivity; entries at the slack or a pinned bus are dropped.
-        s0, s2 = self.lin0.solvable, self.lin2.solvable
-        m0, m = s0.size, s0.size + s2.size
-        self.v02_buses = np.concatenate([s0, s2])
-        self.v02_flat = np.concatenate([s0, self.n + s2])
-        self.comp_take = np.concatenate([3 * s0, 3 * s2 + 2])
-        y02 = np.zeros((m, m), dtype=complex)
-        y02[:m0, :m0] = self.y0[np.ix_(s0, s0)]
-        y02[m0:, m0:] = self.y2[np.ix_(s2, s2)]
-        self.y02 = np.block([[y02.real, -y02.imag], [y02.imag, y02.real]])
-        unknown = np.full((self.n, 2), -1)
-        unknown[s0, 0] = np.arange(m0)
-        unknown[s2, 1] = np.arange(m0, m)
-        rows, cols = np.broadcast_arrays(unknown[:, :, None], unknown[:, None, :])
-        keep = ((rows >= 0) & (cols >= 0)).ravel()
-        self.v02_src = np.flatnonzero(keep)
-        self.v02_dest = (rows.ravel() * m + cols.ravel())[keep]
 
         # Each branch's two-port, for flows; branches with inter-sequence
         # coupling also keep the off-diagonal series admittance that the
-        # sequence matrices leave to compensation currents.
+        # sequence matrices leave out.
         self.blocks: list[tuple[int, int, Branch, tuple[np.ndarray, ...]]] = [
             (self.idx[br.from_bus], self.idx[br.to_bus], br, br.admittance_blocks())
             for br in net.branches
@@ -233,6 +178,38 @@ class SequenceOps:
             np.fill_diagonal(yoff, 0)
             if yoff.any():
                 self.coupled.append((f, t, yoff))
+
+        # The stacked sequence admittance over (V0, V1, V2), entry s * n + i
+        # for sequence s at bus i: the three networks on the diagonal, and
+        # each coupled branch's inter-sequence series admittance.
+        self.y3 = np.zeros((3 * n, 3 * n), dtype=complex)
+        for s, y in enumerate((self.y0, self.y1, self.y2)):
+            self.y3[s * n : (s + 1) * n, s * n : (s + 1) * n] = y
+        for f, t, yoff in self.coupled:
+            for a, b, sign in ((f, f, 1), (f, t, -1), (t, t, 1), (t, f, -1)):
+                self.y3[a::n, b::n] += sign * yoff
+
+        # Newton's unknowns are V1's angle at pv and pq buses and magnitude at
+        # pq buses, then Re and Im of V0 and V2 at their grounded buses; its
+        # equations are P at the same pv and pq buses, Q at the same pq
+        # buses, then Re and Im of I0 and I2 at the same grounded buses. So
+        # unknown and equation j share ``pos[j]`` in the stacked vector and
+        # ``part[j]``, 0 for the real and 1 for the imaginary part. Viewed
+        # as floats, a complex array holds (re, im) pairs: ``mismatch_take``
+        # picks each equation from the stacked mismatch and ``jac_take``
+        # each entry from the 3n x m complex derivatives along the unknowns.
+        self.grounded0, self.pinned0 = _islands(self.y0, self.slack)
+        self.grounded2, self.pinned2 = _islands(self.y2, self.slack)
+        self.v02 = np.concatenate([self.grounded0, 2 * n + self.grounded2])
+        self.pinned02 = np.concatenate([self.pinned0, 2 * n + self.pinned2])
+        self.pos = np.concatenate([n + self.pvpq, n + self.pq, self.v02, self.v02])
+        sizes = [self.pvpq.size, self.pq.size, self.v02.size, self.v02.size]
+        part = np.repeat([0, 1, 0, 1], sizes)
+        m = self.pos.size
+        self.mismatch_take = 2 * self.pos + part
+        self.jac_take = self.pos[:, None] * (2 * m) + 2 * np.arange(m) + part[:, None]
+        self.c02 = np.repeat([1.0, 1j], self.v02.size)  # the V0/V2 unknowns' directions
+        self.diag1 = (n + np.arange(n),) * 2
 
     def flat_voltages(self) -> np.ndarray:
         v = np.ones(self.n, dtype=complex)
@@ -252,150 +229,23 @@ class SequenceOps:
         return loads
 
 
-class _LinearSequenceSolver:
-    """Slack-grounded linear solver for one sequence network.
+def _islands(y: np.ndarray, slack: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grounded and pinned bus positions of a slack-grounded sequence network.
 
     The slack bus is held at zero volts. Connected components of the
     remaining network with no path to ground (no shunt, no slack
     coupling) are only solvable for zero injection; they are pinned to
-    zero volts and flagged if they ever receive current.
+    zero volts.
     """
-
-    def __init__(self, y: np.ndarray, slack: int):
-        self.n = y.shape[0]
-        self.slack = slack
-        keep = np.delete(np.arange(self.n), slack)
-        ysub = y[np.ix_(keep, keep)]
-
-        row_scale = np.abs(y).max(axis=1)
-        row_sum = np.abs(y.sum(axis=1))
-        anchored_bus = (row_sum > 1e-8 * np.maximum(1.0, row_scale)) | (np.abs(y[:, slack]) > 0)
-
-        # Components of the reduced matrix's nonzero structure; a component
-        # is solvable iff some member is anchored.
-        _, labels = connected_components(ysub != 0, directed=False)
-        solvable = np.bincount(labels, weights=anchored_bus[keep])[labels] > 0
-        self.solvable_local = np.where(solvable)[0]
-        self.pinned_local = np.where(~solvable)[0]
-        self.solvable = keep[self.solvable_local]  # bus positions
-        self.pinned = keep[self.pinned_local]
-
-        self.lu = None
-        if self.solvable_local.size:
-            core = ysub[np.ix_(self.solvable_local, self.solvable_local)]
-            lu, piv, info = _ZGETRF(core)
-            if info > 0:
-                raise SequenceSolveError(
-                    [int(i) for i in self.solvable], f"zero pivot {info} in the LU factor"
-                )
-            self.lu = (lu, piv)
-
-    def check_pinned(self, inj: np.ndarray) -> None:
-        """Raise if ``inj`` drives current into a pinned bus."""
-        if self.pinned.size and np.any(np.abs(inj[self.pinned]) > 1e-11):
-            bad = [int(i) for i in self.pinned if abs(inj[i]) > 1e-11]
-            raise SequenceSolveError(bad, "current injected into ungrounded island")
-
-    def solve(self, injections: np.ndarray) -> np.ndarray:
-        inj = np.asarray(injections, dtype=complex)
-        if inj.shape != (self.n,):
-            raise ValueError(f"injection vector must have length {self.n}")
-        self.check_pinned(inj)
-        v = np.zeros(self.n, dtype=complex)
-        if self.lu is not None:
-            v[self.solvable] = _ZGETRS(*self.lu, inj[self.solvable])[0]
-        return v
-
-
-# ---------------------------------------------------------------------------
-# Newton-Raphson, positive sequence
-# ---------------------------------------------------------------------------
-
-
-def _nr_solve(
-    ops: SequenceOps,
-    sbus: np.ndarray,
-    opts: SolverOptions,
-    v_start: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float, list[float]]:
-    """Full NR in polar form. Returns (V, iterations, mismatch, history)."""
-    y = ops.y1
-    pv, pq, pvpq, slack = ops.pv, ops.pq, ops.pvpq, ops.slack
-    n_p = pvpq.size
-    diag = ops.diag
-
-    v = ops.flat_voltages() if v_start is None else np.array(v_start, dtype=complex)
-    v[slack] = ops.v_set[slack]
-    if pv.size:
-        v[pv] = ops.v_set[pv] * v[pv] / np.abs(v[pv])
-
-    def mismatch(vv):
-        ibus = y @ vv
-        ds = vv * np.conj(ibus) - sbus
-        return ibus, np.take(ds.view(np.float64), ops.mismatch_take)
-
-    ibus, f = mismatch(v)
-    norm = float(np.max(np.abs(f))) if f.size else 0.0
-    history = [norm]
-    it = 0
-    while norm > opts.tol_nr and it < opts.max_nr:
-        it += 1
-        vm = np.abs(v)
-        vn = v / vm
-        # [dS/dVa | dS/dVm] by broadcasting, in C order for the float view:
-        # dS/dVa = j diag(V) conj(diag(I) - Y diag(V)) and
-        # dS/dVm = diag(V) conj(Y diag(Vn)) + conj(diag(I)) diag(Vn).
-        ds = np.empty((ops.n, 2 * ops.n), dtype=complex)
-        ds_dva, ds_dvm = ds[:, : ops.n], ds[:, ops.n :]
-        d = -(y * v)
-        d[diag] += ibus
-        ds_dva[:] = 1j * v[:, None] * np.conj(d)
-        ds_dvm[:] = v[:, None] * np.conj(y * vn)
-        ds_dvm[diag] += np.conj(ibus) * vn
-        jac = np.take(ds.view(np.float64), ops.jac_take)
-
-        lu, piv, _info = _DGETRF(jac)  # a zero pivot fails the check below
-        udiag = np.abs(np.diag(lu))
-        if udiag.size and udiag.min() < 1e-12 * max(1.0, udiag.max()):
-            raise SingularJacobianError(ops.bus_ids[ops.nr_bus[int(np.argmin(udiag))]])
-        dx = _DGETRS(lu, piv, f)[0]
-
-        va = np.angle(v)
-        va[pvpq] -= dx[:n_p]
-        vm[pq] -= dx[n_p:]
-        v = vm * np.exp(1j * va)
-
-        ibus, f = mismatch(v)
-        norm = float(np.max(np.abs(f))) if f.size else 0.0
-        history.append(norm)
-
-    if norm > opts.tol_nr:
-        raise NrNonConvergenceError(it, norm)
-    return v, it, norm, history
-
-
-def solve_positive_nr(
-    net: TransmissionNetwork,
-    extra_injections: dict[int, complex] | None = None,
-    opts: SolverOptions | None = None,
-    *,
-    ops: SequenceOps | None = None,
-    v_start: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Positive-sequence Newton-Raphson power flow.
-
-    ``extra_injections`` maps bus ids to complex power added to the bus
-    balance (generation-positive). Returns the complex bus voltages in
-    ``net.buses`` order and an info dict with iteration diagnostics.
-    """
-    opts = opts or SolverOptions()
-    ops = ops or SequenceOps(net)
-    sbus = (ops.p_gen - ops.static_loads).astype(complex)
-    if extra_injections:
-        for bus_id, s in extra_injections.items():
-            sbus[ops.idx[bus_id]] += s
-    v, it, norm, history = _nr_solve(ops, sbus, opts, v_start=v_start)
-    return v, {"iterations": it, "mismatch": norm, "history": history}
+    keep = np.delete(np.arange(y.shape[0]), slack)
+    row_scale = np.abs(y).max(axis=1)
+    row_sum = np.abs(y.sum(axis=1))
+    anchored_bus = (row_sum > 1e-8 * np.maximum(1.0, row_scale)) | (np.abs(y[:, slack]) > 0)
+    # Components of the reduced matrix's nonzero structure; a component is
+    # grounded iff some member is anchored.
+    _, labels = connected_components(y[np.ix_(keep, keep)] != 0, directed=False)
+    grounded = np.bincount(labels, weights=anchored_bus[keep])[labels] > 0
+    return keep[grounded], keep[~grounded]
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +254,19 @@ def solve_positive_nr(
 
 
 class _LoadTerms(NamedTuple):
-    """The compensation's terms that depend only on the per-phase loads."""
+    """The terms that depend only on the per-phase loads."""
 
     loaded: np.ndarray  # positions of the buses with any load
     s_ph: np.ndarray  # their per-phase powers
-    s_sum: np.ndarray  # their row sums, the balanced load the NR carries
+    s_sum: np.ndarray  # their row sums, the balanced load
+    at: np.ndarray  # (loaded, 3) their sequences' positions in the stacked vector
 
 
 def _load_terms(loads_ph: np.ndarray) -> _LoadTerms:
     loaded = np.flatnonzero(np.abs(loads_ph).sum(axis=1) > 0)
     s_ph = loads_ph[loaded]
-    return _LoadTerms(loaded, s_ph, s_ph.sum(axis=1))
+    at = loaded[:, None] + loads_ph.shape[0] * np.arange(3)
+    return _LoadTerms(loaded, s_ph, s_ph.sum(axis=1), at)
 
 
 def _compensation_arrays(
@@ -425,14 +277,17 @@ def _compensation_arrays(
     loads_ph: np.ndarray,
     terms: _LoadTerms | None = None,
 ) -> np.ndarray:
-    """Sequence-domain compensation current injections, (n, 3).
+    """Sequence-domain compensation current injections, (n, 3): the
+    currents that couple the sequences, reported as ``comp_injections``.
 
     Column order (zero, positive, negative); generator sign convention
     (positive current flows into the network). For loads the
     positive-sequence column carries only the correction relative to the
-    balanced constant-power model the NR already accounts for, so a
-    balanced system yields an all-zero matrix. ``terms`` are
-    ``_load_terms(loads_ph)``, for a caller that reuses one load matrix.
+    balanced constant-power load ``conj(sum(s_ph) / v1)``, so a balanced
+    system yields an all-zero matrix, and sequence ``k``'s generators
+    inject ``y_k v_k - comp[:, k]``, plus the balanced load current in
+    the positive sequence. ``terms`` are ``_load_terms(loads_ph)``, for a
+    caller that reuses one load matrix.
     """
     if terms is None:
         terms = _load_terms(loads_ph)
@@ -441,7 +296,7 @@ def _compensation_arrays(
 
     loaded = terms.loaded
     i_seq = sequences_from_phases(phase_currents(terms.s_ph, seq[loaded] @ A_SYN.T))
-    i_seq[:, 1] -= np.conj(terms.s_sum / v1[loaded])  # the balanced part NR carries
+    i_seq[:, 1] -= np.conj(terms.s_sum / v1[loaded])  # the balanced part
     inj[loaded] -= i_seq
 
     for f, t, yoff in ops.coupled:
@@ -453,71 +308,146 @@ def _compensation_arrays(
 
 
 # ---------------------------------------------------------------------------
-# Load-coupled V0/V2 update
+# One Newton-Raphson for all three sequences
 # ---------------------------------------------------------------------------
 
 
-class _CoupledStep:
-    """Newton steps of ``Y v - c(v) = 0`` for (V0, V2) on one factor.
+def _load_phases(terms: _LoadTerms, x: np.ndarray) -> np.ndarray:
+    """Phase voltages (loaded, 3) of the loaded buses, from stacked ``x``."""
+    return x[terms.at] @ A_SYN.T
 
-    ``v`` stacks V0 and V2 at ``ops.v02_buses`` and ``c`` is their
-    compensation. With V1 held, a loaded bus's compensation moves by
-    ``dc = B conj(dV)``, where ``B = A_ANA diag(3 conj(s_ph / v_ph**2))
-    conj(A_SYN)`` restricted to sequences (0, 2). With ``Y = G + jH`` and
-    ``B = P + jQ``, the step solves the real system
-    ``[[G - P, -H - Q], [H - Q, G + P]]`` in (Re dv, Im dv), factored
-    once at the voltages given. Coupled branches stay in ``c`` only.
+
+def _mismatch(ops: SequenceOps, terms: _LoadTerms, x: np.ndarray):
+    """Newton's equations at the stacked voltages ``x`` = (V0, V1, V2).
+
+    Returns the equations' values, their largest magnitude and the
+    stacked currents the generators inject.
     """
-
-    def __init__(self, ops: SequenceOps, v0, v1, v2, terms: _LoadTerms):
-        self.ops = ops
-        lu, piv, _info = _DGETRF(_coupled_matrix(ops, v0, v1, v2, terms))  # checked below
-        udiag = np.abs(np.diag(lu))
-        small = np.flatnonzero(udiag < 1e-12 * max(1.0, udiag.max()))
-        if small.size:
-            m = ops.v02_buses.size
-            buses = sorted({int(ops.v02_buses[j % m]) for j in small})
-            raise SequenceSolveError(buses, "singular load-coupled V0/V2 factor")
-        self.lu = (lu, piv)
-
-    def step(self, comp: np.ndarray, v0: np.ndarray, v2: np.ndarray):
-        """The next (V0, V2) from the compensation ``comp`` at (v0, v2)."""
-        ops = self.ops
-        ops.lin0.check_pinned(comp[:, 0])
-        ops.lin2.check_pinned(comp[:, 2])
-        m = ops.v02_buses.size
-        v = np.concatenate([v0, v2])[ops.v02_flat]
-        r = ops.y02 @ np.concatenate([v.real, v.imag])
-        c = comp.ravel()[ops.comp_take]
-        r[:m] -= c.real
-        r[m:] -= c.imag
-        dv = _DGETRS(*self.lu, r)[0]
-        out = np.zeros(2 * ops.n, dtype=complex)
-        out[ops.v02_flat] = v - (dv[:m] + 1j * dv[m:])
-        return out[: ops.n], out[ops.n :]
+    n = ops.n
+    cur = ops.y3 @ x
+    cur[terms.at] += sequences_from_phases(phase_currents(terms.s_ph, _load_phases(terms, x)))
+    eqs = cur.copy()
+    eqs[n : 2 * n] = x[n : 2 * n] * np.conj(cur[n : 2 * n]) - ops.p_gen
+    f = np.take(eqs.view(np.float64), ops.mismatch_take)
+    return f, float(np.abs(f).max()) if f.size else 0.0, cur
 
 
-def _coupled_matrix(ops: SequenceOps, v0, v1, v2, terms: _LoadTerms) -> np.ndarray:
-    """The real matrix that ``_CoupledStep`` factors, at (v0, v1, v2)."""
-    loaded = terms.loaded
-    v_ph = np.stack([v0[loaded], v1[loaded], v2[loaded]], axis=1) @ A_SYN.T
-    d = np.zeros((ops.n, 3), dtype=complex)
-    d[loaded] = 3.0 * np.conj(terms.s_ph / v_ph**2)
-    b = np.zeros(ops.v02_buses.size**2, dtype=complex)
-    b[ops.v02_dest] = ((_ANA02 * d[:, None, :]) @ _SYN02).ravel()[ops.v02_src]
-    m = ops.v02_buses.size
-    p, q = b.real.reshape(m, m), b.imag.reshape(m, m)
-    jac = ops.y02.copy()
-    jac[:m, :m] -= p
-    jac[:m, m:] -= q
-    jac[m:, :m] -= q
-    jac[m:, m:] += p
-    return jac
+def _jacobian(ops: SequenceOps, terms: _LoadTerms, x: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """The derivative of ``_mismatch``'s equations in Newton's unknowns,
+    at ``x`` and its currents ``cur``."""
+    n = ops.n
+    v1, i1 = x[n : 2 * n], cur[n : 2 * n]
+    # dI = a dx + d conj(dx) in the stacked vector; the positive sequence's
+    # rows then become power rows, dS1 = conj(I1) dV1 + V1 conj(dI1).
+    d = np.zeros((3 * n, 3 * n), dtype=complex)
+    load = 3.0 * np.conj(terms.s_ph / _load_phases(terms, x) ** 2)
+    d[terms.at[:, :, None], terms.at[:, None, :]] = -(A_ANA * load[:, None, :]) @ np.conj(A_SYN)
+    a = ops.y3.copy()
+    a[n : 2 * n] = v1[:, None] * np.conj(d[n : 2 * n])
+    a[ops.diag1] += np.conj(i1)
+    d[n : 2 * n] = v1[:, None] * np.conj(ops.y3[n : 2 * n])
+    # Each unknown moves x along c: j V1 for an angle, V1 / |V1| for a
+    # magnitude, 1 and j for Re and Im of V0 or V2.
+    c = np.concatenate([1j * v1[ops.pvpq], v1[ops.pq] / np.abs(v1[ops.pq]), ops.c02])
+    jc = np.take(a, ops.pos, axis=1) * c + np.take(d, ops.pos, axis=1) * np.conj(c)
+    return np.take(jc.view(np.float64), ops.jac_take)
 
 
-# ---------------------------------------------------------------------------
-# Outer three-sequence loop
-# ---------------------------------------------------------------------------
+def _factor(ops: SequenceOps, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lu, piv, _info = _DGETRF(jac)  # a zero pivot fails the check below
+    udiag = np.abs(np.diag(lu))
+    if udiag.size and udiag.min() < 1e-12 * max(1.0, udiag.max()):
+        raise SingularJacobianError(ops.bus_ids[ops.pos[int(np.argmin(udiag))] % ops.n])
+    return lu, piv
+
+
+def _advance(ops: SequenceOps, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """``x`` moved by minus the Newton update ``dx``."""
+    n, n_a, n_v, m = ops.n, ops.pvpq.size, ops.pvpq.size + ops.pq.size, ops.v02.size
+    v1 = x[n : 2 * n]
+    va, vm = np.angle(v1), np.abs(v1)
+    va[ops.pvpq] -= dx[:n_a]
+    vm[ops.pq] -= dx[n_a:n_v]
+    out = x.copy()
+    out[n : 2 * n] = vm * np.exp(1j * va)
+    out[ops.v02] -= dx[n_v : n_v + m] + 1j * dx[n_v + m :]
+    return out
+
+
+def _newton(
+    ops: SequenceOps,
+    terms: _LoadTerms,
+    opts: SolverOptions,
+    x: np.ndarray,
+    lu: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, int, float, list[float], tuple | None]:
+    """Newton-Raphson from the stacked voltages ``x`` = (V0, V1, V2), with
+    chord steps on ``lu`` first when given. Returns (x, steps, mismatch,
+    history, factor); the history holds the mismatch after each kept step."""
+    n = ops.n
+    x = x.astype(complex)
+    x[n + ops.slack] = ops.v_set[ops.slack]
+    v = x[n + ops.pv]
+    x[n + ops.pv] = ops.v_set[ops.pv] * v / np.abs(v)
+
+    f, norm, cur = _mismatch(ops, terms, x)
+    start = norm
+    history = [norm]
+    steps = 0
+    refactor = lu is None
+    while norm > opts.tol_nr:
+        if steps == opts.max_nr:
+            raise NrNonConvergenceError(steps, norm)
+        steps += 1
+        fresh = refactor
+        if fresh:
+            lu = _factor(ops, _jacobian(ops, terms, x, cur))
+        x_new = _advance(ops, x, _DGETRS(*lu, f)[0])
+        f_new, norm_new, cur_new = _mismatch(ops, terms, x_new)
+        if not fresh and not norm_new < norm:
+            refactor = True  # take the step again on the Jacobian at x
+            continue
+        if not norm_new <= DIVERGENCE * start:
+            raise NrNonConvergenceError(steps, norm_new)
+        refactor = norm_new >= CHORD_CONTRACTION * norm
+        x, f, norm, cur = x_new, f_new, norm_new, cur_new
+        history.append(norm)
+
+    # A pinned island holds zero volts, so it must draw no current.
+    stray = np.abs(cur[ops.pinned02]) > 1e-11
+    if stray.any():
+        bad = sorted(int(p) % n for p in ops.pinned02[stray])
+        raise SequenceSolveError(bad, "current injected into ungrounded island")
+    return x, steps, norm, history, lu
+
+
+def solve_positive_nr(
+    net: TransmissionNetwork,
+    extra_injections: dict[int, complex] | None = None,
+    opts: SolverOptions | None = None,
+    *,
+    ops: SequenceOps | None = None,
+    v_start: np.ndarray | None = None,
+) -> tuple[np.ndarray, dict]:
+    """Positive-sequence Newton-Raphson power flow: the three-sequence
+    Newton with every load balanced, from V0 = V2 = 0.
+
+    ``extra_injections`` maps bus ids to complex power added to the bus
+    balance (generation-positive). Returns the complex bus voltages in
+    ``net.buses`` order and an info dict with iteration diagnostics.
+    """
+    opts = opts or SolverOptions()
+    ops = ops or SequenceOps(net)
+    loads = ops.phase_load_matrix(None)
+    if extra_injections:
+        for bus_id, s in extra_injections.items():
+            loads[ops.idx[bus_id]] -= s / 3.0
+    zero = np.zeros(ops.n, dtype=complex)
+    v1 = ops.flat_voltages() if v_start is None else v_start
+    x, it, norm, history, _ = _newton(
+        ops, _load_terms(loads), opts, np.concatenate([zero, v1, zero])
+    )
+    return x[ops.n : 2 * ops.n], {"iterations": it, "mismatch": norm, "history": history}
 
 
 def solve_three_sequence(
@@ -531,59 +461,21 @@ def solve_three_sequence(
     """Solve the network in three-sequence detail.
 
     ``pcc_loads`` maps bus id to a per-phase complex power triple
-    (system pu) added on top of the bus's balanced static load.
+    (system pu) added on top of the bus's balanced static load. ``start``
+    is a solution on the same ``ops`` whose voltages and factor the
+    Newton starts from; without it, V1 starts flat, V0 and V2 at zero.
     """
     opts = opts or SolverOptions()
     ops = ops or SequenceOps(net)
     loads_ph = ops.phase_load_matrix(pcc_loads)
-    sbus_const = (ops.p_gen - loads_ph.sum(axis=1)).astype(complex)
-    terms = _load_terms(loads_ph)  # fixed for the whole call
-
+    terms = _load_terms(loads_ph)
     if start is not None:
-        v0, v1, v2 = start.v0.copy(), start.v1.copy(), start.v2.copy()
+        x, lu = np.concatenate([start.v0, start.v1, start.v2]), start.factor
     else:
-        v1 = ops.flat_voltages()
-        v0 = np.zeros(ops.n, dtype=complex)
-        v2 = np.zeros(ops.n, dtype=complex)
-
-    total_nr = 0
-    mismatch = np.inf
-    comp = np.zeros((ops.n, 3), dtype=complex)
-    converged = False
-    outer = 0
-    switch = start is not None and start.coupled
-    coupled: _CoupledStep | None = None
-    prev02 = np.inf
-    while outer < opts.max_outer:
-        outer += 1
-        comp = _compensation_arrays(ops, v0, v1, v2, loads_ph, terms)
-        extra = v1 * np.conj(comp[:, 1])
-        v1_new, it, mismatch, _ = _nr_solve(ops, sbus_const + extra, opts, v_start=v1)
-        total_nr += it
-        if switch and coupled is None:
-            coupled = _CoupledStep(ops, v0, v1_new, v2, terms)
-        if coupled is None:
-            v0_new = ops.lin0.solve(comp[:, 0])
-            v2_new = ops.lin2.solve(comp[:, 2])
-        else:
-            v0_new, v2_new = coupled.step(comp, v0, v2)
-        # The positive-sequence change alone can read zero one pass before
-        # the coupling feedback arrives, so all three sequences gate the
-        # exit.
-        d02 = float(max(np.max(np.abs(v0_new - v0)), np.max(np.abs(v2_new - v2))))
-        delta = max(float(np.max(np.abs(v1_new - v1))), d02)
-        v0, v1, v2 = v0_new, v1_new, v2_new
-        if outer > 1 and delta <= opts.tol_seq:
-            converged = True
-            break
-        # A V0/V2 change that does not shrink below SLOW_CONTRACTION of the
-        # last one is the V0 <-> V2 swing; the next pass factors the
-        # load-coupled update right after its Newton solve.
-        if outer > 1 and d02 > 0 and d02 >= SLOW_CONTRACTION * prev02:
-            switch = True
-        prev02 = d02
-    if not converged:
-        raise OuterNonConvergenceError(outer, delta)
+        zero = np.zeros(ops.n, dtype=complex)
+        x, lu = np.concatenate([zero, ops.flat_voltages(), zero]), None
+    x, it, norm, _, lu = _newton(ops, terms, opts, x, lu)
+    v0, v1, v2 = x.reshape(3, ops.n)
 
     sol = SeqSolution(
         bus_ids=ops.bus_ids,
@@ -591,12 +483,12 @@ def solve_three_sequence(
         v1=v1,
         v2=v2,
         slack_power_pu=0j,
-        iterations_outer=outer,
-        iterations_nr=total_nr,
-        max_mismatch=mismatch,
-        comp_injections=comp,
+        iterations_outer=1,
+        iterations_nr=it,
+        max_mismatch=norm,
+        comp_injections=_compensation_arrays(ops, v0, v1, v2, loads_ph, terms),
         loads_phase=loads_ph,
-        coupled=coupled is not None,
+        factor=lu,
     )
     sol.slack_power_pu = slack_power(sol, net, ops=ops)
     return sol

@@ -292,6 +292,16 @@ def test_config_from_file(tmp_path):
     assert cfg.coupler.tol_boundary == 1e-5
 
 
+@pytest.mark.parametrize("removed", ["tol_seq", "max_outer"])
+def test_config_from_file_rejects_removed_solver_options(tmp_path, removed):
+    # One Newton solves all three sequences: there is no sequence-coupling
+    # loop left for these two options to stop.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BUNDLED_DOC, "solver": {"tol_nr": 1e-9, removed: 5}}))
+    with pytest.raises(ValueError, match=f"unknown solver option '{removed}'"):
+        RunConfig.from_file(path)
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         validate_config(small_config(levels=()))

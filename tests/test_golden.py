@@ -7,10 +7,12 @@ float within 1e-12 absolute, which leaves room for last-bit differences
 between BLAS builds but catches any change to the numerics.
 
 ``tests/data/compare_small.csv`` was emitted for the same grid in ``both``
-mode by the Newton oracle, before its steps reused a factor. Identifiers
-and ``v_cosim`` must match as above; the oracle's ``v_unified`` and
-``diff`` within 1e-9 pu, the bound that holds Newton to the fixed-point
-reference in ``test_newton_matches_fixed_point_reference``.
+mode. Its ``v_unified`` values were first those of the Newton oracle,
+before its steps reused a factor; the chord-step oracle that emitted the
+current file moved them by at most 1.3e-11 pu. Identifiers and
+``v_cosim`` must match as above; the oracle's ``v_unified`` and ``diff``
+within 1e-9 pu, the bound that holds Newton to the fixed-point reference
+in ``test_newton_matches_fixed_point_reference``.
 """
 
 import csv
