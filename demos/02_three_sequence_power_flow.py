@@ -11,7 +11,6 @@ from pvcosim import (
     branch_flows,
     data_path,
     load_network_file,
-    solve_positive_nr,
     solve_three_sequence,
 )
 
@@ -19,16 +18,12 @@ net = load_network_file(data_path("ieee9.json"))
 print(f"network: {len(net.buses)} buses, {len(net.branches)} branches, "
       f"{len(net.generators)} generators\n")
 
-v, info = solve_positive_nr(net)
-print("positive-sequence Newton-Raphson (chord steps once a step contracts 20-fold):")
-print(f"  converged in {info['iterations']} iterations, "
-      f"final mismatch {info['mismatch']:.2e} pu")
-print("  mismatch history:", "  ".join(f"{h:.1e}" for h in info["history"]))
-
 sol = solve_three_sequence(net)
-print("\nbalanced three-sequence solve (degenerates to one sequence):")
-print(f"  Newton steps {sol.iterations_nr}, max |V0| {abs(sol.v0).max():.1e}, "
-      f"max |V2| {abs(sol.v2).max():.1e}")
+print("balanced three-sequence solve (degenerates to one sequence; chord steps")
+print("once a step contracts 20-fold):")
+print(f"  converged in {sol.iterations_nr} Newton steps, "
+      f"final mismatch {sol.max_mismatch:.2e} pu")
+print(f"  max |V0| {abs(sol.v0).max():.1e}, max |V2| {abs(sol.v2).max():.1e}")
 print(f"  slack power {sol.slack_power_pu.real:+.4f} {sol.slack_power_pu.imag:+.4f}j pu")
 
 print(f"\n{'bus':>4} {'|V1|':>8} {'angle':>8}")

@@ -70,8 +70,6 @@ from .transmission import (  # noqa: E402
     SeqSolution,
     SolverOptions,
     branch_flows,
-    slack_power,
-    solve_positive_nr,
     solve_three_sequence,
 )
 from .unified import UnifiedOps, UnifiedSolution, compare, solve_unified  # noqa: E402

@@ -247,27 +247,25 @@ def validate_network(net: TransmissionNetwork) -> None:
         raise NetworkDataError(f"network not connected; unreachable buses {unreachable}")
 
 
-def build_sequence_admittance(
-    net: TransmissionNetwork,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense nodal admittance matrices ``(y0, y1, y2)`` of the sequence networks.
+def build_sequence_admittance(net: TransmissionNetwork) -> np.ndarray:
+    """Stacked nodal admittance (3n x 3n) of the three sequence networks.
 
-    Each sequence takes the diagonal of every branch's
-    :meth:`Branch.admittance_blocks`; the transmission solver adds the
-    inter-sequence coupling blocks (``SequenceOps.y3``).
+    Entry ``s * n + i`` is sequence ``s`` (zero, positive, negative) at bus
+    ``i``. Every branch adds its full :meth:`Branch.admittance_blocks`, so
+    the sequence networks fill the diagonal blocks and a coupled branch's
+    inter-sequence admittance the off-diagonal ones; every bus adds its
+    shunt to all three sequences.
     """
     idx = net.bus_index()
     n = len(net.buses)
-    # Column-major: ``y @ v`` rounds differently per layout, and Newton's
-    # iterates are kept bit-stable on this one.
-    ys = np.zeros((3, n, n), dtype=complex).transpose(0, 2, 1)
+    y = np.zeros((3 * n, 3 * n), dtype=complex)
     for br in net.branches:
         f, t = idx[br.from_bus], idx[br.to_bus]
-        yff, yft, ytt = (np.diag(blk) for blk in br.admittance_blocks())
-        ys[:, f, f] += yff
-        ys[:, t, t] += ytt
-        ys[:, f, t] += yft
-        ys[:, t, f] += yft
-    diag = np.arange(n)
-    ys[:, diag, diag] += [complex(b.shunt_g, b.shunt_b) for b in net.buses]
-    return ys[0], ys[1], ys[2]
+        yff, yft, ytt = br.admittance_blocks()
+        y[f::n, f::n] += yff
+        y[t::n, t::n] += ytt
+        y[f::n, t::n] += yft
+        y[t::n, f::n] += yft
+    diag = np.arange(3 * n)
+    y[diag, diag] += np.tile([complex(b.shunt_g, b.shunt_b) for b in net.buses], 3)
+    return y

@@ -49,9 +49,7 @@ __all__ = [
     "NrNonConvergenceError",
     "SingularJacobianError",
     "SequenceSolveError",
-    "solve_positive_nr",
     "solve_three_sequence",
-    "slack_power",
     "branch_flows",
 ]
 
@@ -116,11 +114,10 @@ class SeqSolution:
     v0: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
-    slack_power_pu: complex
+    slack_power_pu: complex  # the slack generator's output, positive = generating
     iterations_outer: int  # always 1: one Newton solves all three sequences
     iterations_nr: int
     max_mismatch: float
-    comp_injections: np.ndarray  # (n, 3) sequence current injections
     loads_phase: np.ndarray  # (n, 3) per-phase powers actually served
     # The LU factor of the last Newton matrix; a solve started from this
     # solution takes its first steps on it.
@@ -144,7 +141,12 @@ class SequenceOps:
         self.n = n = len(net.buses)
         self.bus_ids = tuple(b.id for b in net.buses)
 
-        self.y0, self.y1, self.y2 = build_sequence_admittance(net)
+        # The stacked sequence admittance over (V0, V1, V2), entry s * n + i
+        # for sequence s at bus i; the three networks are its diagonal blocks.
+        self.y3 = build_sequence_admittance(net)
+        self.y0, self.y1, self.y2 = (
+            self.y3[s * n : (s + 1) * n, s * n : (s + 1) * n] for s in range(3)
+        )
 
         kinds = [b.kind for b in net.buses]
         self.slack = kinds.index("slack")
@@ -165,29 +167,11 @@ class SequenceOps:
                 self.p_gen[i] = p_set
         self.static_loads = np.array([complex(b.load_p, b.load_q) for b in net.buses])
 
-        # Each branch's two-port, for flows; branches with inter-sequence
-        # coupling also keep the off-diagonal series admittance that the
-        # sequence matrices leave out.
+        # Each branch's two-port, for flows.
         self.blocks: list[tuple[int, int, Branch, tuple[np.ndarray, ...]]] = [
             (self.idx[br.from_bus], self.idx[br.to_bus], br, br.admittance_blocks())
             for br in net.branches
         ]
-        self.coupled: list[tuple[int, int, np.ndarray]] = []
-        for f, t, _br, (_yff, yft, _ytt) in self.blocks:
-            yoff = -yft
-            np.fill_diagonal(yoff, 0)
-            if yoff.any():
-                self.coupled.append((f, t, yoff))
-
-        # The stacked sequence admittance over (V0, V1, V2), entry s * n + i
-        # for sequence s at bus i: the three networks on the diagonal, and
-        # each coupled branch's inter-sequence series admittance.
-        self.y3 = np.zeros((3 * n, 3 * n), dtype=complex)
-        for s, y in enumerate((self.y0, self.y1, self.y2)):
-            self.y3[s * n : (s + 1) * n, s * n : (s + 1) * n] = y
-        for f, t, yoff in self.coupled:
-            for a, b, sign in ((f, f, 1), (f, t, -1), (t, t, 1), (t, f, -1)):
-                self.y3[a::n, b::n] += sign * yoff
 
         # Newton's unknowns are V1's angle at pv and pq buses and magnitude at
         # pq buses, then Re and Im of V0 and V2 at their grounded buses; its
@@ -249,7 +233,7 @@ def _islands(y: np.ndarray, slack: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Compensation currents
+# One Newton-Raphson for all three sequences
 # ---------------------------------------------------------------------------
 
 
@@ -258,58 +242,13 @@ class _LoadTerms(NamedTuple):
 
     loaded: np.ndarray  # positions of the buses with any load
     s_ph: np.ndarray  # their per-phase powers
-    s_sum: np.ndarray  # their row sums, the balanced load
     at: np.ndarray  # (loaded, 3) their sequences' positions in the stacked vector
 
 
 def _load_terms(loads_ph: np.ndarray) -> _LoadTerms:
     loaded = np.flatnonzero(np.abs(loads_ph).sum(axis=1) > 0)
-    s_ph = loads_ph[loaded]
     at = loaded[:, None] + loads_ph.shape[0] * np.arange(3)
-    return _LoadTerms(loaded, s_ph, s_ph.sum(axis=1), at)
-
-
-def _compensation_arrays(
-    ops: SequenceOps,
-    v0: np.ndarray,
-    v1: np.ndarray,
-    v2: np.ndarray,
-    loads_ph: np.ndarray,
-    terms: _LoadTerms | None = None,
-) -> np.ndarray:
-    """Sequence-domain compensation current injections, (n, 3): the
-    currents that couple the sequences, reported as ``comp_injections``.
-
-    Column order (zero, positive, negative); generator sign convention
-    (positive current flows into the network). For loads the
-    positive-sequence column carries only the correction relative to the
-    balanced constant-power load ``conj(sum(s_ph) / v1)``, so a balanced
-    system yields an all-zero matrix, and sequence ``k``'s generators
-    inject ``y_k v_k - comp[:, k]``, plus the balanced load current in
-    the positive sequence. ``terms`` are ``_load_terms(loads_ph)``, for a
-    caller that reuses one load matrix.
-    """
-    if terms is None:
-        terms = _load_terms(loads_ph)
-    inj = np.zeros((ops.n, 3), dtype=complex)
-    seq = np.stack([v0, v1, v2], axis=1)
-
-    loaded = terms.loaded
-    i_seq = sequences_from_phases(phase_currents(terms.s_ph, seq[loaded] @ A_SYN.T))
-    i_seq[:, 1] -= np.conj(terms.s_sum / v1[loaded])  # the balanced part
-    inj[loaded] -= i_seq
-
-    for f, t, yoff in ops.coupled:
-        dv = seq[f] - seq[t]  # (3,) sequence-domain across-voltages
-        di = yoff @ dv  # extra series current per sequence
-        inj[f] -= di
-        inj[t] += di
-    return inj
-
-
-# ---------------------------------------------------------------------------
-# One Newton-Raphson for all three sequences
-# ---------------------------------------------------------------------------
+    return _LoadTerms(loaded, loads_ph[loaded], at)
 
 
 def _load_phases(terms: _LoadTerms, x: np.ndarray) -> np.ndarray:
@@ -380,10 +319,11 @@ def _newton(
     opts: SolverOptions,
     x: np.ndarray,
     lu: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, int, float, list[float], tuple | None]:
+) -> tuple[np.ndarray, int, float, list[float], tuple | None, np.ndarray]:
     """Newton-Raphson from the stacked voltages ``x`` = (V0, V1, V2), with
     chord steps on ``lu`` first when given. Returns (x, steps, mismatch,
-    history, factor); the history holds the mismatch after each kept step."""
+    history, factor, currents); the history holds the mismatch after each
+    kept step, the currents are those the generators inject at ``x``."""
     n = ops.n
     x = x.astype(complex)
     x[n + ops.slack] = ops.v_set[ops.slack]
@@ -418,36 +358,7 @@ def _newton(
     if stray.any():
         bad = sorted(int(p) % n for p in ops.pinned02[stray])
         raise SequenceSolveError(bad, "current injected into ungrounded island")
-    return x, steps, norm, history, lu
-
-
-def solve_positive_nr(
-    net: TransmissionNetwork,
-    extra_injections: dict[int, complex] | None = None,
-    opts: SolverOptions | None = None,
-    *,
-    ops: SequenceOps | None = None,
-    v_start: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Positive-sequence Newton-Raphson power flow: the three-sequence
-    Newton with every load balanced, from V0 = V2 = 0.
-
-    ``extra_injections`` maps bus ids to complex power added to the bus
-    balance (generation-positive). Returns the complex bus voltages in
-    ``net.buses`` order and an info dict with iteration diagnostics.
-    """
-    opts = opts or SolverOptions()
-    ops = ops or SequenceOps(net)
-    loads = ops.phase_load_matrix(None)
-    if extra_injections:
-        for bus_id, s in extra_injections.items():
-            loads[ops.idx[bus_id]] -= s / 3.0
-    zero = np.zeros(ops.n, dtype=complex)
-    v1 = ops.flat_voltages() if v_start is None else v_start
-    x, it, norm, history, _ = _newton(
-        ops, _load_terms(loads), opts, np.concatenate([zero, v1, zero])
-    )
-    return x[ops.n : 2 * ops.n], {"iterations": it, "mismatch": norm, "history": history}
+    return x, steps, norm, history, lu, cur
 
 
 def solve_three_sequence(
@@ -474,38 +385,21 @@ def solve_three_sequence(
     else:
         zero = np.zeros(ops.n, dtype=complex)
         x, lu = np.concatenate([zero, ops.flat_voltages(), zero]), None
-    x, it, norm, _, lu = _newton(ops, terms, opts, x, lu)
+    x, it, norm, _, lu, cur = _newton(ops, terms, opts, x, lu)
     v0, v1, v2 = x.reshape(3, ops.n)
-
-    sol = SeqSolution(
+    s = ops.n + ops.slack
+    return SeqSolution(
         bus_ids=ops.bus_ids,
         v0=v0,
         v1=v1,
         v2=v2,
-        slack_power_pu=0j,
+        slack_power_pu=complex(x[s] * np.conj(cur[s])),
         iterations_outer=1,
         iterations_nr=it,
         max_mismatch=norm,
-        comp_injections=_compensation_arrays(ops, v0, v1, v2, loads_ph, terms),
         loads_phase=loads_ph,
         factor=lu,
     )
-    sol.slack_power_pu = slack_power(sol, net, ops=ops)
-    return sol
-
-
-def slack_power(
-    sol: SeqSolution, net: TransmissionNetwork, *, ops: SequenceOps | None = None
-) -> complex:
-    """Slack generator complex output, positive = generating."""
-    ops = ops or SequenceOps(net)
-    s = ops.slack
-    i_net = (ops.y1 @ sol.v1)[s]
-    i_comp = sol.comp_injections[s, 1]
-    s_load = sol.loads_phase[s].sum()
-    i_load = np.conj(s_load / sol.v1[s]) if abs(s_load) > 0 else 0j
-    i_gen = i_net - i_comp + i_load
-    return complex(sol.v1[s] * np.conj(i_gen))
 
 
 def branch_flows(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pvcosim import (
+    build_sequence_admittance,
     data_path,
     load_feeder_file,
     load_network,
@@ -46,6 +47,14 @@ def island_variants():
         bus["shunt_g"] = bus["shunt_b"] = 0.0
     nets["series_only"] = load_network(json.dumps(doc))
     return nets
+
+
+def sequence_networks(net):
+    """The zero-, positive- and negative-sequence networks: the diagonal
+    blocks of the stacked sequence admittance."""
+    n = len(net.buses)
+    y3 = build_sequence_admittance(net)
+    return [y3[s * n : (s + 1) * n, s * n : (s + 1) * n] for s in range(3)]
 
 
 def two_bus_case(load_p=1.0, load_q=0.5, r=0.01, x=0.1):

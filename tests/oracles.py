@@ -1,15 +1,16 @@
 """Independent reference methods used to check the package's solvers.
 
 Everything here is deliberately naive and shares no code with the
-package: Gauss-Seidel for the positive-sequence power flow, dense
-phase-frame fixed-point nodal solves, closed-form two-bus voltage,
-element-by-element admittance assembly, per-sequence branch flows,
-union-find sequence-network islands, compensation currents one bus and
-one branch at a time, the sequence-coupling loop as a plain Jacobi
-iteration on those compensation currents, the feeder sweep as a
-node-by-node tree walk, PV scenarios written into node loads, and the
-unified solve as a current-injection fixed point with a secant trim of
-the generators' reactive power.
+package: Gauss-Seidel and a textbook polar Newton for the
+positive-sequence power flow, dense phase-frame fixed-point nodal
+solves, closed-form two-bus voltage, element-by-element admittance
+assembly, per-sequence branch flows, union-find sequence-network
+islands, compensation currents one bus and one branch at a time, the
+sequence-coupling loop as a plain Jacobi iteration on those
+compensation currents, the feeder sweep as a node-by-node tree walk, PV
+scenarios written into node loads, and the unified solve as a
+current-injection fixed point with a secant trim of the generators'
+reactive power.
 """
 
 from __future__ import annotations
@@ -218,6 +219,33 @@ def _polar_newton(y, sbus, v, slack, pv, pq, tol, max_iter=30):
     raise RuntimeError("Newton-Raphson did not converge")
 
 
+def _bus_roles(net):
+    """Slack position, pv and pq positions, flat start with the generators'
+    voltage setpoints, and the non-slack generators' active power."""
+    kinds = [b.kind for b in net.buses]
+    pos = {b.id: i for i, b in enumerate(net.buses)}
+    slack = kinds.index("slack")
+    pv = [i for i, k in enumerate(kinds) if k == "pv"]
+    pq = [i for i, k in enumerate(kinds) if k == "pq"]
+    v = np.ones(len(kinds), dtype=complex)
+    p_gen = np.zeros(len(kinds))
+    if net.buses[slack].v_setpoint is not None:
+        v[slack] = net.buses[slack].v_setpoint
+    for gbus, p_set, v_set in net.generators:
+        v[pos[gbus]] = v_set
+        if pos[gbus] != slack:
+            p_gen[pos[gbus]] = p_set
+    return slack, pv, pq, v, p_gen
+
+
+def balanced_power_flow(net, tol):
+    """Positive-sequence voltages of ``net`` under its balanced static loads,
+    by the textbook polar Newton on the element-by-element admittance."""
+    slack, pv, pq, v, p_gen = _bus_roles(net)
+    sbus = p_gen - np.array([complex(b.load_p, b.load_q) for b in net.buses])
+    return _polar_newton(brute_force_sequence_y(net, 1), sbus, v, slack, pv, pq, tol)
+
+
 def jacobi_three_sequence(net, loads_ph, tol, max_passes=500):
     """The sequence-coupling loop with plain per-sequence updates.
 
@@ -230,20 +258,8 @@ def jacobi_three_sequence(net, loads_ph, tol, max_passes=500):
     pass. Returns ``(v0, v1, v2, passes)``.
     """
     ys = [brute_force_sequence_y(net, s) for s in range(3)]
-    kinds = [b.kind for b in net.buses]
-    pos = {b.id: i for i, b in enumerate(net.buses)}
-    slack = kinds.index("slack")
-    pv = [i for i, k in enumerate(kinds) if k == "pv"]
-    pq = [i for i, k in enumerate(kinds) if k == "pq"]
-    n = len(kinds)
-    v1 = np.ones(n, dtype=complex)
-    p_gen = np.zeros(n)
-    if net.buses[slack].v_setpoint is not None:
-        v1[slack] = net.buses[slack].v_setpoint
-    for gbus, p_set, v_set in net.generators:
-        v1[pos[gbus]] = v_set
-        if pos[gbus] != slack:
-            p_gen[pos[gbus]] = p_set
+    slack, pv, pq, v1, p_gen = _bus_roles(net)
+    n = len(net.buses)
     keep = [i for i in range(n) if i != slack]
     grounded = []
     for s in (0, 2):

@@ -435,7 +435,6 @@ def test_source_voltage_reconstruction_spread():
         iterations_outer=1,
         iterations_nr=1,
         max_mismatch=0.0,
-        comp_injections=np.zeros((1, 3), dtype=complex),
         loads_phase=np.zeros((1, 3), dtype=complex),
     )
 

@@ -1,5 +1,5 @@
 """Source hygiene checks: unused imports, dangling exports, exports that
-only tests use and the oracle's independence from the solvers it checks."""
+only tests use and the oracles' independence from the solvers they check."""
 
 import ast
 import importlib
@@ -163,3 +163,27 @@ def test_oracle_shares_no_solver_code():
     assert imported.get("network", set()) <= {"TransmissionNetwork"}
     assert "feeder" not in imported
     assert referenced_names(source).isdisjoint({"bibc", "bibc_t", "solve_feeder", "admittance_blocks"})
+
+
+def pvcosim_imports(source: str) -> list[str]:
+    """The ``pvcosim`` modules a source imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "pvcosim"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pvcosim":
+            found.append(node.module)
+    return found
+
+
+def test_test_oracles_import_nothing_from_the_package():
+    """The oracles check the package's solvers, so they must not reuse them."""
+    assert pvcosim_imports((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")) == []
+
+
+def test_import_check_sees_both_forms():
+    source = (
+        "import numpy\nimport pvcosim.network\nfrom pvcosim import transmission\n"
+        "from .conftest import x\nfrom pvcosimx import y\n"
+    )
+    assert pvcosim_imports(source) == ["pvcosim.network", "pvcosim"]

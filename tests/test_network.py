@@ -7,7 +7,7 @@ from pvcosim import build_sequence_admittance, data_path, load_network
 from pvcosim.network import NetworkDataError
 
 from .oracles import brute_force_sequence_y
-from .conftest import two_bus_case
+from .conftest import sequence_networks, two_bus_case
 
 
 def test_bundled_case_shape(ieee9):
@@ -97,7 +97,7 @@ def test_single_branch_admittance_matrix():
             }
         )
     )
-    y1 = build_sequence_admittance(net)[1]
+    y1 = sequence_networks(net)[1]
     expected = np.array([[-10j, 10j], [10j, -10j]])
     assert np.allclose(y1, expected, atol=1e-15)
 
@@ -119,22 +119,56 @@ def test_zero_seq_open_blocks_coupling():
             }
         )
     )
-    y0 = build_sequence_admittance(net)[0]
+    y0 = sequence_networks(net)[0]
     assert y0[0, 1] == 0 and y0[1, 0] == 0
     assert y0[0, 0] == 0
     assert y0[1, 1] == pytest.approx(1 / 0.25j)  # grounding leg on the to side
 
 
+def test_coupled_branches_fill_the_inter_sequence_blocks():
+    # Two coupled lines (unit tap): each adds the off-diagonal part of its
+    # inverse sequence impedance matrix at both ends, plus at from-to and
+    # to-from with the opposite sign; the diagonal blocks stay the
+    # per-sequence networks.
+    doc = json.loads(data_path("ieee9.json").read_text())
+    doc["branches"][3]["coupling"] = {"z12": [0.002, 0.015], "z20": [0.001, -0.004]}
+    doc["branches"][5]["coupling"] = {"z01": [0.003, 0.01], "z21": [0.001, 0.02]}
+    net = load_network(json.dumps(doc))
+    n = len(net.buses)
+    pos = {b.id: i for i, b in enumerate(net.buses)}
+    ref = np.zeros((3 * n, 3 * n), dtype=complex)
+    for s in range(3):
+        ref[s * n : (s + 1) * n, s * n : (s + 1) * n] = brute_force_sequence_y(net, s)
+    for br in net.branches:
+        if not br.coupling:
+            continue
+        zm = np.diag([br.z0, br.z1, br.z2]).astype(complex)
+        for key, val in br.coupling.items():
+            zm[int(key[1]), int(key[2])] = val
+        ym = np.linalg.inv(zm)
+        f, t = pos[br.from_bus], pos[br.to_bus]
+        for s in range(3):
+            for r in range(3):
+                if s != r:
+                    ref[s * n + f, r * n + f] += ym[s, r]
+                    ref[s * n + t, r * n + t] += ym[s, r]
+                    ref[s * n + f, r * n + t] -= ym[s, r]
+                    ref[s * n + t, r * n + f] -= ym[s, r]
+    y = build_sequence_admittance(net)
+    assert y.shape == (3 * n, 3 * n)
+    assert np.max(np.abs(y - ref)) < 1e-12
+
+
 def test_bundled_y1_matches_brute_force(ieee9):
     for seq in (0, 1, 2):
-        y = build_sequence_admittance(ieee9)[seq]
+        y = sequence_networks(ieee9)[seq]
         ref = brute_force_sequence_y(ieee9, seq)
         assert np.max(np.abs(y - ref)) < 1e-12
 
 
 def test_admittance_symmetry(ieee9):
     for seq in (0, 1, 2):
-        y = build_sequence_admittance(ieee9)[seq]
+        y = sequence_networks(ieee9)[seq]
         assert np.max(np.abs(y - y.T)) < 1e-14
 
 
@@ -149,7 +183,7 @@ def test_row_sums_vanish_without_shunts(ieee9):
         bus["shunt_b"] = 0.0
     net = load_network(json.dumps(doc))
     for seq in (0, 1, 2):
-        y = build_sequence_admittance(net)[seq]
+        y = sequence_networks(net)[seq]
         assert np.max(np.abs(y.sum(axis=1))) < 1e-12
 
 

@@ -6,26 +6,23 @@ import pytest
 
 from pvcosim import (
     attach,
-    build_sequence_admittance,
     data_path,
     generate,
     load_network,
     run_step,
-    solve_positive_nr,
     solve_three_sequence,
     transmission,
 )
 from pvcosim.coupler import CosimError, _pcc_loads, step_ops
 from pvcosim.network import Branch, Bus, TransmissionNetwork
 from pvcosim.scenarios import feeder_seed
-from pvcosim.sequences import A_SYN, SequenceSet, phases_from_sequences, sequences_from_phases
+from pvcosim.sequences import A_SYN, phases_from_sequences, sequences_from_phases
 from pvcosim.transmission import (
     NrNonConvergenceError,
     SequenceOps,
     SequenceSolveError,
     SingularJacobianError,
     SolverOptions,
-    _compensation_arrays,
     _islands,
     _jacobian,
     _load_terms,
@@ -33,8 +30,10 @@ from pvcosim.transmission import (
     branch_flows,
 )
 
-from .conftest import island_variants, two_bus_case
+from .conftest import island_variants, sequence_networks, two_bus_case
 from .oracles import (
+    balanced_power_flow,
+    brute_force_sequence_y,
     gauss_seidel,
     jacobi_three_sequence,
     naive_branch_flows,
@@ -50,14 +49,14 @@ TWO_BUS_V2 = 0.9254115654281163 - 0.0949999999999995j
 
 def test_two_bus_matches_frozen_gauss_seidel():
     net = load_network(two_bus_case())
-    v, info = solve_positive_nr(net)
-    assert abs(v[1] - TWO_BUS_V2) < 1e-8
-    assert info["mismatch"] <= 1e-8
+    sol = solve_three_sequence(net)
+    assert abs(sol.v1[1] - TWO_BUS_V2) < 1e-8
+    assert sol.max_mismatch <= 1e-8
 
 
 def test_two_bus_matches_live_gauss_seidel():
     net = load_network(two_bus_case())
-    y = build_sequence_admittance(net)[1]
+    y = sequence_networks(net)[1]
     ref = gauss_seidel(
         y,
         np.array([0, -(1.0 + 0.5j)]),
@@ -67,7 +66,7 @@ def test_two_bus_matches_live_gauss_seidel():
         v_set=np.ones(2),
         tol=1e-12,
     )
-    v, _ = solve_positive_nr(net)
+    v = solve_three_sequence(net).v1
     assert np.max(np.abs(v - ref)) < 1e-8
 
 
@@ -84,10 +83,9 @@ def test_no_load_network_is_flat(ieee9):
             replace(b, v_setpoint=1.02 if b.kind != "pq" else None) for b in stripped.buses
         ),
     )
-    v, _ = solve_positive_nr(stripped)
-    assert np.allclose(np.abs(v), 1.02, atol=1e-9)
-    assert np.allclose(np.angle(v), 0.0, atol=1e-9)
     sol = solve_three_sequence(stripped)
+    assert np.allclose(np.abs(sol.v1), 1.02, atol=1e-9)
+    assert np.allclose(np.angle(sol.v1), 0.0, atol=1e-9)
     assert abs(sol.slack_power_pu) < 1e-8
 
 
@@ -104,13 +102,21 @@ def test_bundled_case_matches_gauss_seidel(ieee9):
         tol=1e-12,
         accel=1.3,
     )
-    v, _ = solve_positive_nr(ieee9)
+    v = solve_three_sequence(ieee9).v1
     assert np.max(np.abs(v - ref)) < 1e-7
 
 
-def test_nr_quadratic_tail(ieee9):
-    _, info = solve_positive_nr(ieee9)
-    hist = info["history"]
+def test_nr_quadratic_tail(ieee9, monkeypatch):
+    hist = []
+    newton = transmission._newton
+
+    def recorded(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        hist.extend(out[3])
+        return out
+
+    monkeypatch.setattr(transmission, "_newton", recorded)
+    solve_three_sequence(ieee9)
     assert len(hist) >= 3
     assert hist[-1] <= hist[-2] / 10
 
@@ -118,7 +124,7 @@ def test_nr_quadratic_tail(ieee9):
 def test_nr_non_convergence_reports_mismatch():
     net = load_network(two_bus_case(load_p=10.0, load_q=5.0))
     with pytest.raises(NrNonConvergenceError) as err:
-        solve_positive_nr(net, opts=SolverOptions(max_nr=3))
+        solve_three_sequence(net, opts=SolverOptions(max_nr=3))
     assert err.value.mismatch > 0
 
 
@@ -130,7 +136,7 @@ def test_singular_jacobian_reports_bus():
     branches = (Branch(from_bus=1, to_bus=2, z1=1e30 + 0j, z2=1e30 + 0j, z0=1e30 + 0j),)
     net = TransmissionNetwork(buses=buses, branches=branches, generators=((1, 0.0, 1.0),))
     with pytest.raises(SingularJacobianError) as err:
-        solve_positive_nr(net)
+        solve_three_sequence(net)
     assert err.value.bus_id == 2
 
 
@@ -153,7 +159,7 @@ def _floating_island_y():
 
 def test_island_partition_matches_union_find():
     cases = [
-        *(y for net in island_variants().values() for y in build_sequence_admittance(net)),
+        *(y for net in island_variants().values() for y in sequence_networks(net)),
         _floating_island_y(),
     ]
     pinned_seen = 0
@@ -172,20 +178,41 @@ def test_island_partition_matches_union_find():
 # ---------------------------------------------------------------------------
 # Compensation currents
 # ---------------------------------------------------------------------------
+#
+# Newton's currents hold the compensation: at stacked voltages x the
+# generators inject ``y3 x`` plus each loaded bus's sequence load currents,
+# which per sequence is ``y_k v_k - comp[:, k]`` plus the balanced load
+# current in the positive sequence, with ``comp`` the oracle's per-bus
+# compensation.
 
 
-def _flat_compensation(net, pcc_loads=None):
-    """Compensation at flat voltages: V1 = 1, V0 = V2 = 0 at every bus."""
+def _reference_currents(net, x, loads):
+    """The stacked currents ``_mismatch`` returns, from the oracles alone."""
+    n = len(net.buses)
+    v = x.reshape(3, n)
+    comp = per_bus_compensation(net, *v, loads)
+    cur = np.concatenate([brute_force_sequence_y(net, s) @ v[s] - comp[:, s] for s in range(3)])
+    cur[n : 2 * n] += np.conj(loads.sum(axis=1) / v[1])
+    return cur
+
+
+def _flat_currents(net, pcc_loads=None):
+    """Newton's currents at flat voltages (V1 = 1, V0 = V2 = 0 at every bus),
+    less ``y3 x``: the load currents alone, and the loads."""
     ops = SequenceOps(net)
-    zero = np.zeros(ops.n, dtype=complex)
-    return _compensation_arrays(
-        ops, zero, np.ones(ops.n, dtype=complex), zero, ops.phase_load_matrix(pcc_loads)
-    )
+    loads = ops.phase_load_matrix(pcc_loads)
+    x = np.concatenate([np.zeros(ops.n), np.ones(ops.n), np.zeros(ops.n)]).astype(complex)
+    _, _, cur = _mismatch(ops, _load_terms(loads), x)
+    return (cur - ops.y3 @ x).reshape(3, ops.n), loads
 
 
 def test_compensation_zero_for_balanced_transposed(ieee9):
-    inj = _flat_compensation(ieee9)
-    for zero, positive, negative in inj:
+    # Balanced loads at V0 = V2 = 0 draw no zero- or negative-sequence
+    # current, and exactly the balanced current conj(sum(s) / v1) in the
+    # positive sequence.
+    load_cur, loads = _flat_currents(ieee9)
+    balanced = np.conj(loads.sum(axis=1))
+    for zero, positive, negative in zip(load_cur[0], load_cur[1] - balanced, load_cur[2]):
         assert abs(zero) < 1e-15
         assert abs(positive) < 1e-15
         assert abs(negative) < 1e-15
@@ -196,24 +223,19 @@ def test_compensation_single_coupling_hand_value():
     doc["branches"][0]["z0"] = [0.025, 0.25]
     doc["branches"][0]["coupling"] = {"z12": [0.0, 0.02]}
     net = load_network(json.dumps(doc))
-
-    v_from = SequenceSet(0j, 1.0 + 0j, 0.01 + 0.002j)
-    v_to = SequenceSet(0j, 0.97 - 0.02j, 0.004 - 0.001j)
     ops = SequenceOps(net)
-    v0, v1, v2 = np.stack([v_from.as_array(), v_to.as_array()], axis=1)
-    inj = _compensation_arrays(ops, v0, v1, v2, ops.phase_load_matrix(None))
+    n, f, t = ops.n, 0, 1
 
-    # One-sided coupling z12 in Z gives Y[1,2] = -z12/(z1*z2); the
-    # equivalent source is that admittance times the across-voltage.
+    # One-sided coupling z12 in Z gives Y[1,2] = -z12/(z1*z2): the positive
+    # sequence at each end draws that admittance times the negative
+    # sequence's across-voltage, and nothing couples into the zero sequence.
     z1 = 0.01 + 0.1j
     z2 = z1
     z12 = 0.02j
     y_off = -z12 / (z1 * z2)
-    dv_neg = v_from.negative - v_to.negative
-    expected = y_off * dv_neg
-    assert abs(inj[0, 1] + expected) < 1e-14
-    assert abs(inj[1, 1] - expected) < 1e-14
-    assert abs(inj[0, 0]) < 1e-15 and abs(inj[1, 0]) < 1e-15
+    assert abs(ops.y3[n + f, 2 * n + f] - y_off) < 1e-14
+    assert abs(ops.y3[n + f, 2 * n + t] + y_off) < 1e-14
+    assert not ops.y3[:n, n:].any() and not ops.y3[n:, :n].any()
 
 
 def test_compensation_unbalanced_load_excites_negative_sequence():
@@ -221,65 +243,63 @@ def test_compensation_unbalanced_load_excites_negative_sequence():
     s_total = 0.9 + 0.3j
     third = s_total / 3
     pcc = {2: np.array([third * 1.05, third, third * 0.95])}
-    inj = _flat_compensation(net, pcc)
-    assert abs(inj[1, 2]) > 1e-4
-    assert abs(inj[1, 1]) < 1e-12  # balanced correction is zero at V2=0
+    load_cur, _ = _flat_currents(net, pcc)
+    assert abs(load_cur[2, 1]) > 1e-4
+    assert abs(load_cur[1, 1] - np.conj(s_total)) < 1e-12  # balanced current alone at V2=0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_compensation_arrays_match_per_bus_loop(seed):
-    # Random unbalanced loads on every bus but one, random sequence
-    # voltages, and one branch with inter-sequence coupling.
-    doc = json.loads(data_path("ieee9.json").read_text())
-    doc["branches"][3]["coupling"] = {"z12": [0.002, 0.015], "z20": [0.001, -0.004]}
-    net = load_network(json.dumps(doc))
-    ops = SequenceOps(net)
-    assert ops.coupled
+def _coupled_state(seed):
+    """ieee9 with one coupled branch, random unbalanced loads on every bus
+    but bus 9, and random stacked sequence voltages."""
+    net = _coupled_ieee9()
     rng = np.random.default_rng(seed)
-    n = ops.n
+    n = len(net.buses)
     loads = rng.uniform(-1, 1, (n, 3)) + 1j * rng.uniform(-1, 1, (n, 3))
     loads[8] = 0  # one unloaded row, on no coupled branch
     v0, v2 = (0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(2))
     v1 = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
+    return net, loads, np.concatenate([v0, v1, v2])
 
-    got = _compensation_arrays(ops, v0, v1, v2, loads)
-    ref = per_bus_compensation(net, v0, v1, v2, loads)
-    assert np.all(got[8] == 0)
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compensation_arrays_match_per_bus_loop(seed):
+    # Newton's currents at every bus, slack and pinned buses included,
+    # against the oracle's per-bus compensation.
+    net, loads, x = _coupled_state(seed)
+    assert net.branches[3].coupling
+    ops = SequenceOps(net)
+    _, _, got = _mismatch(ops, _load_terms(loads), x)
+    ref = _reference_currents(net, x, loads)
+    assert np.all(got[8 :: ops.n] == (ops.y3 @ x)[8 :: ops.n])  # no load current
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_compensation_zero_phase_voltage_under_load_raises():
     ops = SequenceOps(load_network(two_bus_case(load_p=0.0, load_q=0.0)))
     loads = np.array([[0, 0, 0], [0.1, 0.1, 0.1]], dtype=complex)
-    v1 = np.ones(2, dtype=complex)
-    v0 = np.array([0, -1], dtype=complex)  # phase a of bus 2 at zero volts
+    x = np.array([0, -1, 1, 1, 0, 0], dtype=complex)  # phase a of bus 2 at zero volts
     with pytest.raises(ZeroDivisionError):
-        _compensation_arrays(ops, v0, v1, np.zeros(2, dtype=complex), loads)
+        _mismatch(ops, _load_terms(loads), x)
 
 
 def test_hoisted_load_terms_match_per_bus_loop():
-    # Random unbalanced loads with an unloaded row and a zero load on one
-    # phase, random sequence voltages, and one coupled branch.
-    doc = json.loads(data_path("ieee9.json").read_text())
-    doc["branches"][3]["coupling"] = {"z12": [0.002, 0.015], "z20": [0.001, -0.004]}
-    net = load_network(json.dumps(doc))
-    ops = SequenceOps(net)
-    assert ops.coupled
-    rng = np.random.default_rng(7)
-    n = ops.n
-    loads = rng.uniform(-1, 1, (n, 3)) + 1j * rng.uniform(-1, 1, (n, 3))
-    loads[8] = 0
+    # The load terms hold no voltage: built once, they serve every Newton
+    # step. Random unbalanced loads with an unloaded row and a zero load on
+    # one phase, random sequence voltages, and one coupled branch.
+    net, loads, x = _coupled_state(7)
     loads[4, 1] = 0
-    v0, v2 = (0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(2))
-    v1 = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
+    assert net.branches[3].coupling
+    ops = SequenceOps(net)
+    n = ops.n
 
     terms = _load_terms(loads)
     assert list(terms.loaded) == [i for i in range(n) if i != 8]
-    got = _compensation_arrays(ops, v0, v1, v2, loads, terms)
-    ref = per_bus_compensation(net, v0, v1, v2, loads)
-    assert np.all(got[8] == 0)
+    _mismatch(ops, terms, 1.01 * x)  # the terms serve another step first
+    _, _, got = _mismatch(ops, terms, x)
+    ref = _reference_currents(net, x, loads)
+    assert np.all(got[8::n] == (ops.y3 @ x)[8::n])
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
-    assert got.tobytes() == _compensation_arrays(ops, v0, v1, v2, loads).tobytes()
+    assert got.tobytes() == _mismatch(ops, _load_terms(loads), x)[2].tobytes()
 
 
 def _masked_phase_currents(s, v):
@@ -292,28 +312,24 @@ def _masked_phase_currents(s, v):
 
 def test_zero_voltage_on_an_unloaded_phase_takes_the_fallback():
     # Phase a of bus 2 is at zero volts and draws nothing there, so the
-    # direct division (0/0 there) is skipped; the compensation has the bits
-    # of the masked form and stays finite.
+    # direct division (0/0 there) is skipped; Newton's currents have the
+    # bits of the masked form and stay finite.
     ops = SequenceOps(load_network(two_bus_case(load_p=0.0, load_q=0.0)))
     loads = np.array([[0, 0, 0], [0, 0.1 + 0.02j, 0.12 - 0.01j]], dtype=complex)
-    v0 = np.array([0, -1], dtype=complex)
-    v1 = np.ones(2, dtype=complex)
-    v2 = np.zeros(2, dtype=complex)
-    got = _compensation_arrays(ops, v0, v1, v2, loads, _load_terms(loads))
+    x = np.array([0, -1, 1, 1, 0, 0], dtype=complex)
+    _, _, got = _mismatch(ops, _load_terms(loads), x)
 
-    v_ph = np.stack([v0, v1, v2], axis=1)[1:] @ A_SYN.T
+    v_ph = x[None, 1::2] @ A_SYN.T
     assert v_ph[0, 0] == 0 and v_ph[0, 1:].all()
-    i_seq = sequences_from_phases(_masked_phase_currents(loads[1:], v_ph))
-    i_seq[:, 1] -= np.conj(loads[1:].sum(axis=1) / v1[1:])
-    want = np.zeros((2, 3), dtype=complex)
-    want[1:] -= i_seq
+    want = ops.y3 @ x
+    want[1::2] += sequences_from_phases(_masked_phase_currents(loads[1:], v_ph))[0]
     assert np.isfinite(got).all()
     assert got.tobytes() == want.tobytes()
 
     # Under load, the same zero voltage still raises.
     loads[1, 0] = 0.05
     with pytest.raises(ZeroDivisionError):
-        _compensation_arrays(ops, v0, v1, v2, loads, _load_terms(loads))
+        _mismatch(ops, _load_terms(loads), x)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +338,15 @@ def test_zero_voltage_on_an_unloaded_phase_takes_the_fallback():
 
 
 def test_balanced_degeneracy(ieee9):
-    sol = solve_three_sequence(ieee9)
-    v_nr, _ = solve_positive_nr(ieee9)
+    # Against a textbook positive-sequence Newton to 1e-13; the solve runs
+    # to 1e-12, since at the default 1e-8 it stops 3.0e-10 away.
+    opts = SolverOptions(tol_nr=1e-12)
+    sol = solve_three_sequence(ieee9, opts=opts)
+    v_nr = balanced_power_flow(ieee9, 1e-13)
     assert np.max(np.abs(sol.v0)) < 1e-9
     assert np.max(np.abs(sol.v2)) < 1e-9
     assert np.max(np.abs(sol.v1 - v_nr)) < 1e-10
-    assert sol.max_mismatch <= SolverOptions().tol_nr
+    assert sol.max_mismatch <= opts.tol_nr
 
 
 def test_unbalance_bound_at_pcc(ieee9):
@@ -404,7 +423,7 @@ def test_jacobian_matches_central_differences():
     # pv and pq buses and magnitude at pq buses, then Re and Im of V0 and V2.
     net = _coupled_ieee9()
     ops = SequenceOps(net)
-    assert ops.coupled and ops.pinned0.size == 2
+    assert net.branches[3].coupling and ops.pinned0.size == 2
     rng = np.random.default_rng(3)
     n = ops.n
     loads = rng.uniform(-1, 1, (n, 3)) + 1j * rng.uniform(-1, 1, (n, 3))
@@ -667,33 +686,34 @@ def test_flow_direction_reverses_under_high_injection(ieee9):
 
 
 def test_power_balance(ieee9):
-    for pcc in (
-        None,
-        {5: np.array([0.05 + 0.01j, 0.04 + 0.01j, 0.045 + 0.012j])},
+    for net, pcc in (
+        (ieee9, None),
+        (ieee9, {5: np.array([0.05 + 0.01j, 0.04 + 0.01j, 0.045 + 0.012j])}),
+        (_coupled_ieee9(), _UNBALANCED_LOADS),
     ):
-        sol = solve_three_sequence(ieee9, pcc)
-        ops = SequenceOps(ieee9)
+        sol = solve_three_sequence(net, pcc)
+        ops = SequenceOps(net)
+        n = ops.n
+        x = np.concatenate([sol.v0, sol.v1, sol.v2])
+        _, _, cur = _mismatch(ops, _load_terms(sol.loads_phase), x)
 
         total_gen = sol.slack_power_pu
-        slack = next(b.id for b in ieee9.buses if b.kind == "slack")
-        for gbus, p_set, _v in ieee9.generators:
+        slack = next(b.id for b in net.buses if b.kind == "slack")
+        for gbus, p_set, _v in net.generators:
             if gbus == slack:
                 continue
             i = sol.index_of(gbus)
-            # generator injection = network current + local balanced load
-            i_net = (ops.y1 @ sol.v1)[i] - sol.comp_injections[i, 1]
-            s_load = sol.loads_phase[i].sum()
-            i_load = np.conj(s_load / sol.v1[i]) if abs(s_load) else 0j
-            total_gen += sol.v1[i] * np.conj(i_net + i_load)
+            # the positive-sequence current Newton's generators inject
+            total_gen += sol.v1[i] * np.conj(cur[n + i])
 
         total_load = sol.loads_phase.sum()
 
         losses = 0j
-        for (f, t), fl in branch_flows(sol, ieee9, ops=ops).items():
+        for (f, t), fl in branch_flows(sol, net, ops=ops).items():
             losses += fl.sum()
         shunt = 0j
         seq_v = [sol.v0, sol.v1, sol.v2]
-        for b in ieee9.buses:
+        for b in net.buses:
             i = sol.index_of(b.id)
             ysh = complex(b.shunt_g, b.shunt_b)
             if ysh != 0:

@@ -6,7 +6,6 @@ import pytest
 
 from pvcosim import (
     attach,
-    build_sequence_admittance,
     compare,
     generate,
     run_step,
@@ -20,7 +19,7 @@ from pvcosim.scenarios import feeder_seed
 from pvcosim.sequences import A_ANA
 from pvcosim.unified import AGREEMENT_PU, UnifiedOps, UnifiedSolveError
 
-from .conftest import constant_load_feeder, island_variants, small_feeder
+from .conftest import constant_load_feeder, island_variants, sequence_networks, small_feeder
 from .oracles import fixed_point_unified, union_find_islands
 
 
@@ -147,7 +146,7 @@ def test_pinned_buses_match_union_find_islands():
     pinned_seen = 0
     for name, net in island_variants().items():
         slack = next(i for i, b in enumerate(net.buses) if b.kind == "slack")
-        _, floating = union_find_islands(build_sequence_admittance(net)[0], slack)
+        _, floating = union_find_islands(sequence_networks(net)[0], slack)
         keep = np.delete(np.arange(len(net.buses)), slack)
         pinned = UnifiedOps(net, []).pinned
         assert np.array_equal(pinned, keep[floating]), name
