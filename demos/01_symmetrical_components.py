@@ -7,8 +7,7 @@ to a single-phase disturbance.
 
 import numpy as np
 
-from pvcosim import SequenceSet, phase_to_sequence, sequence_to_phase
-from pvcosim.sequences import unbalance_percent
+from pvcosim import SequenceSet, phase_to_sequence, sequence_to_phase, unbalance_factor
 
 
 def polar(mag, deg):
@@ -24,7 +23,7 @@ def show(label, va, vb, vc):
         f"|V2|={abs(s.negative):.5f}"
     )
     try:
-        print(f"  unbalance: {unbalance_percent(va, vb, vc):.3f} %")
+        print(f"  unbalance: {unbalance_factor([va, vb, vc]):.3f} %")
     except ValueError:
         print("  unbalance: undefined (no positive sequence)")
     back = sequence_to_phase(s)

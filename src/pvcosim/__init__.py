@@ -36,7 +36,6 @@ from .driver import (  # noqa: E402
     emit,
     oracle_rows,
     run,
-    unbalance_factor,
 )
 from .feeder import (  # noqa: E402
     FeederModel,
@@ -65,6 +64,7 @@ from .sequences import (  # noqa: E402
     SequenceSet,
     phase_to_sequence,
     sequence_to_phase,
+    unbalance_factor,
 )
 from .transmission import (  # noqa: E402
     SeqSolution,

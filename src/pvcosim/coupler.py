@@ -89,7 +89,6 @@ class CosimNonConvergenceError(CosimError):
 class Attachment:
     bus: int
     feeder: FeederModel
-    mva_base: float = 100.0
 
     @property
     def ops(self) -> FeederOps:  # the feeder's sweep operator, one per model
@@ -97,13 +96,18 @@ class Attachment:
 
 
 def attach(net: TransmissionNetwork, bus_id: int, feeder: FeederModel) -> Attachment:
-    """Build an attachment; the PCC must be a pq bus."""
+    """Build an attachment; the PCC must be a pq bus, and the feeder must
+    be on the network's system MVA base, as the boundary powers are."""
     bus = next((b for b in net.buses if b.id == bus_id), None)
     if bus is None:
         raise ValueError(f"unknown bus {bus_id}")
     if bus.kind != "pq":
         raise ValueError(f"PCC bus {bus_id} must be a pq bus, is {bus.kind}")
-    return Attachment(bus=bus_id, feeder=feeder, mva_base=net.mva_base)
+    if feeder.mva_base != net.mva_base:
+        raise ValueError(
+            f"feeder MVA base {feeder.mva_base:g} differs from the network's {net.mva_base:g}"
+        )
+    return Attachment(bus=bus_id, feeder=feeder)
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,10 @@ class CoSimOptions:
             raise ValueError("tol_boundary must be positive")
         if self.max_fpi < 1:
             raise ValueError("max_fpi must be at least 1")
+        if self.feeder_tol <= 0:
+            raise ValueError("feeder_tol must be positive")
+        if self.feeder_max_iter < 1:
+            raise ValueError("feeder_max_iter must be at least 1")
 
 
 @dataclass
@@ -140,7 +148,10 @@ class CoSimResult:
     seq_solution: SeqSolution
     feeder_solutions: tuple[FeederSolution, ...]
     boundary_history: tuple[BoundaryState, ...]
-    fpi_iterations: int
+
+    @property
+    def fpi_iterations(self) -> int:
+        return len(self.boundary_history) - 1
 
     @property
     def final_boundary(self) -> BoundaryState:
@@ -158,7 +169,7 @@ def boundary_error(prev: BoundaryState, curr: BoundaryState) -> float:
 
 def equivalent_load(fs: FeederSolution, attachments) -> np.ndarray:
     """Feeder PCC powers as per-phase system-pu rows, one per attachment."""
-    base = np.array([[1e3 * att.mva_base] for att in attachments])
+    base = np.array([[1e3 * att.feeder.mva_base] for att in attachments])
     return fs.pcc_power_kw / base
 
 
@@ -319,7 +330,6 @@ def run_step(
         seq_solution=seq_sol,
         feeder_solutions=fsol.feeders(),
         boundary_history=tuple(history),
-        fpi_iterations=len(history) - 1,
     )
 
 

@@ -33,7 +33,7 @@ from .coupler import (
 from .feeder import load_feeder_file
 from .network import load_network_file
 from .scenarios import PvScenario, feeder_seed, generate, load_profile_file, validate_draw
-from .sequences import A_ANA, unbalance_percent
+from .sequences import A_ANA, unbalance_factor
 from .transmission import SolverOptions, branch_flows
 from .unified import UnifiedOps, UnifiedSolution, compare, solve_unified
 
@@ -42,7 +42,6 @@ __all__ = [
     "RunRecord",
     "ResultSet",
     "run",
-    "unbalance_factor",
     "detect_reverse_flow",
     "emit",
     "oracle_rows",
@@ -82,8 +81,8 @@ class RunConfig:
 
     @staticmethod
     def from_file(path) -> "RunConfig":
-        """Read a JSON configuration. A missing required key or an unknown
-        ``solver``/``coupler`` option is a ``ValueError`` that names it."""
+        """Read a JSON configuration. A missing required key, or any unknown
+        key or option, is a ``ValueError`` that names it."""
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         base = Path(path).parent
@@ -97,15 +96,20 @@ class RunConfig:
             q = Path(p)
             return str(q if q.is_absolute() else base / q)
 
-        def options(key, cls):
-            unknown = sorted(set(raw[key]) - {f.name for f in fields(cls)})
+        def known(doc, names, what):
+            unknown = sorted(set(doc) - set(names))
             if unknown:
-                raise ValueError(f"unknown {key} option {unknown[0]!r}")
-            return cls(**raw[key])
+                raise ValueError(f"unknown {what} {unknown[0]!r}")
+            return doc
 
+        def options(key, cls):
+            return cls(**known(raw[key], [f.name for f in fields(cls)], f"{key} option"))
+
+        known(raw, [f.name for f in fields(RunConfig)], "configuration key")
         feeders = []
         for i, f in enumerate(required(raw, "feeders", "configuration")):
             where = f"feeder {i}"
+            known(f, ("path", "bus"), f"{where} key")
             feeders.append((resolve(required(f, "path", where)), int(required(f, "bus", where))))
         kwargs = dict(
             network=resolve(required(raw, "network", "configuration")),
@@ -133,6 +137,8 @@ class RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     if not cfg.levels:
         raise ValueError("levels must be non-empty")
+    if not cfg.hours:
+        raise ValueError("hours must be non-empty")
     if cfg.mode not in ("cosim", "oracle", "both"):
         raise ValueError(f"unknown mode {cfg.mode!r}")
     if not all(0 <= h <= 23 for h in cfg.hours):
@@ -150,7 +156,6 @@ class RunRecord:
     scenario_id: int
     level: int
     hour: int
-    pcc_bus: tuple[int, ...]
     v_phase: np.ndarray  # (n_att, 3) complex pu
     s_phase: np.ndarray  # (n_att, 3) complex pu
     vuf: tuple[float, ...]
@@ -171,6 +176,11 @@ class ResultSet:
     records: list[RunRecord]
     baseline: dict[int, RunRecord]  # hour -> no-PV record
 
+    @property
+    def buses(self) -> tuple[int, ...]:
+        """The configured feeders' PCC buses: the rows of each record's arrays."""
+        return tuple(bus for _, bus in self.config.feeders)
+
     def aggregates(self) -> dict:
         """Per-level means recomputed from the raw records, plus the
         per-PCC voltage-trend classification across levels."""
@@ -179,9 +189,8 @@ class ResultSet:
         levels = sorted({r.level for r in ok})
         for level in levels:
             sel = [r for r in ok if r.level == level]
-            buses = sel[0].pcc_bus
             per_pcc = {}
-            for i, bus in enumerate(buses):
+            for i, bus in enumerate(self.buses):
                 vmag = np.array([np.abs(r.v_phase[i]) for r in sel])
                 p = np.array([r.s_phase[i].real for r in sel])
                 vufs = np.array([r.vuf[i] for r in sel])
@@ -198,7 +207,7 @@ class ResultSet:
             }
         if ok and len(levels) >= 3:
             out["voltage_trend"] = {}
-            for bus in map(str, ok[0].pcc_bus):
+            for bus in map(str, self.buses):
                 series = [
                     float(np.mean(out["levels"][str(lv)]["pcc"][bus]["mean_v"]))
                     for lv in levels
@@ -212,14 +221,6 @@ class ResultSet:
                     peak_level = levels[-1] if trend == "monotonic_rise" else levels[0]
                 out["voltage_trend"][bus] = {"trend": trend, "peak_level": peak_level}
         return out
-
-
-def unbalance_factor(v_phases) -> float:
-    """Voltage unbalance factor in percent for one PCC phase triple."""
-    v = np.asarray(v_phases, dtype=complex)
-    if v.shape != (3,) or np.any(np.abs(v) == 0):
-        raise ValueError("three nonzero phase voltages required")
-    return unbalance_percent(v[0], v[1], v[2])
 
 
 class _Runner:
@@ -271,7 +272,6 @@ class _Runner:
         cfg = self.cfg
         t0 = time.perf_counter()
         scen = self.scenario_list(sid, level)
-        buses = tuple(a.bus for a in self.attachments)
 
         if cfg.mode == "oracle":
             us = self.oracle(hour, scen)
@@ -279,16 +279,15 @@ class _Runner:
                 scenario_id=sid,
                 level=level,
                 hour=hour,
-                pcc_bus=buses,
                 v_phase=us.pcc_voltage.copy(),
                 s_phase=us.pcc_power.copy(),
-                vuf=tuple(unbalance_factor(us.pcc_voltage[i]) for i in range(len(buses))),
+                vuf=tuple(unbalance_factor(v) for v in us.pcc_voltage),
                 slack_p=float(us.slack_power_pu.real),
                 slack_q=float(us.slack_power_pu.imag),
                 flow_signs={},
                 fpi_iterations=0,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
-                oracle_v1=tuple(us.positive_sequence(b) for b in buses),
+                oracle_v1=tuple(us.positive_sequence(a.bus) for a in self.attachments),
             )
 
         result = run_step(
@@ -304,14 +303,13 @@ class _Runner:
 
         sol = result.seq_solution
         final = result.final_boundary
-        vuf = tuple(unbalance_factor(final.v_phase[i]) for i in range(len(buses)))
+        vuf = tuple(unbalance_factor(v) for v in final.v_phase)
         flows = branch_flows(sol, self.net, ops=step_ops(self.net, self.attachments).seq)
         signs = {key: (1 if f[:, 0].real.sum() >= 0 else -1) for key, f in flows.items()}
         record = RunRecord(
             scenario_id=sid,
             level=level,
             hour=hour,
-            pcc_bus=buses,
             v_phase=final.v_phase.copy(),
             s_phase=final.s_phase.copy(),
             vuf=vuf,
@@ -351,7 +349,6 @@ def _safe_case(runner: _Runner, sid: int, level: int, hour: int) -> RunRecord:
             scenario_id=sid,
             level=level,
             hour=hour,
-            pcc_bus=tuple(a.bus for a in runner.attachments),
             v_phase=np.zeros((len(runner.attachments), 3), dtype=complex),
             s_phase=np.zeros((len(runner.attachments), 3), dtype=complex),
             vuf=tuple(0.0 for _ in runner.attachments),
@@ -429,7 +426,7 @@ def oracle_rows(results: ResultSet):
     for rec in [*results.baseline.values(), *results.records]:
         if rec.oracle_diff is None:
             continue
-        for i, bus in enumerate(rec.pcc_bus):
+        for i, bus in enumerate(results.buses):
             yield rec, bus, (A_ANA @ rec.v_phase[i])[1], rec.oracle_v1[i]
 
 
@@ -453,15 +450,8 @@ def emit(results: ResultSet, out_dir) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     flags = detect_reverse_flow(results)
 
-    buses = (
-        results.records[0].pcc_bus
-        if results.records
-        else next(iter(results.baseline.values())).pcc_bus
-        if results.baseline
-        else ()
-    )
     header = ["scenario", "level", "hour", "error", "fpi_iterations", "slack_p", "slack_q"]
-    for bus in buses:
+    for bus in results.buses:
         for ph in "abc":
             header += [
                 f"v{bus}_{ph}_mag",
@@ -483,17 +473,15 @@ def emit(results: ResultSet, out_dir) -> dict[str, Path]:
             _fmt(rec.slack_p),
             _fmt(rec.slack_q),
         ]
-        for i, _bus in enumerate(rec.pcc_bus):
-            for k in range(3):
-                v = rec.v_phase[i, k]
-                s = rec.s_phase[i, k]
+        for v_row, s_row, vuf in zip(rec.v_phase, rec.s_phase, rec.vuf):
+            for v, s in zip(v_row, s_row):
                 row += [
                     _fmt(abs(v)),
                     _fmt(float(np.degrees(np.angle(v)))),
                     _fmt(s.real),
                     _fmt(s.imag),
                 ]
-            row.append(_fmt(rec.vuf[i]))
+            row.append(_fmt(vuf))
         fl = flags.get((rec.scenario_id, rec.level, rec.hour), {})
         row.append(
             ";".join(f"{a}-{b}" for a, b in fl.get("reversed_branches", ()))

@@ -134,8 +134,12 @@ class FeederSolution:
     branch_currents: np.ndarray  # (n, 3) amps into each node through its feeding branch
     pcc_power_kw: np.ndarray  # (3,) or (k, 3) complex kW at the transmission side
     head_current: np.ndarray  # (3,) or (k, 3) amps into the substation transformer
-    iterations: int  # sweep rounds; in a forest, those of the slowest feeder
     feeder_iterations: np.ndarray  # (k,) sweep rounds of each feeder
+
+    @property
+    def iterations(self) -> int:
+        """Sweep rounds; in a forest, those of the slowest feeder."""
+        return int(self.feeder_iterations.max())
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -173,7 +177,6 @@ class FeederSolution:
                 branch_currents=self.branch_currents[a:b],
                 pcc_power_kw=pcc[k],
                 head_current=head[k],
-                iterations=int(self.feeder_iterations[k]),
                 feeder_iterations=self.feeder_iterations[k : k + 1],
             )
             for k, (part, a, b) in enumerate(zip(self.ops.parts, bounds, bounds[1:]))
@@ -362,9 +365,9 @@ class FeederOps:
 def forest(parts: Sequence[FeederOps]) -> FeederOps:
     """One operator over several feeders, in the order given.
 
-    The per-node arrays are concatenated and the sweep matrices are block
-    diagonal, built from each feeder's CSR arrays with offsets; no path
-    is walked again.
+    The per-node arrays are concatenated and the sweep matrices are the
+    ``scipy.sparse.block_diag`` of the feeders' own; no path is walked
+    again.
     """
     parts = tuple(single for ops in parts for single in ops.parts)
     sizes = [len(p.ids) for p in parts]
@@ -376,23 +379,9 @@ def forest(parts: Sequence[FeederOps]) -> FeederOps:
     out.loads = np.concatenate([p.loads for p in parts])
     out.z = np.concatenate([p.z for p in parts])
     out.v_ln = np.concatenate([p.v_ln for p in parts])
-    out.bibc = _block_diagonal([p.bibc for p in parts], out.offsets)
-    out.bibc_t = _block_diagonal([p.bibc_t for p in parts], out.offsets)
+    out.bibc = sp.block_diag([p.bibc for p in parts], format="csr")
+    out.bibc_t = sp.block_diag([p.bibc_t for p in parts], format="csr")
     return out
-
-
-def _block_diagonal(blocks: list[sp.csr_matrix], offsets: np.ndarray) -> sp.csr_matrix:
-    """Square CSR blocks on the diagonal, block ``k`` from row ``offsets[k]``.
-
-    Each row keeps its entries in their order, so a product row sums the
-    same terms in the same order as the block's own product.
-    """
-    nnz = np.cumsum([0] + [b.nnz for b in blocks])
-    data = np.concatenate([b.data for b in blocks])
-    indices = np.concatenate([b.indices + off for b, off in zip(blocks, offsets)])
-    indptr = np.concatenate([b.indptr[:-1] + k for b, k in zip(blocks, nnz)] + [nnz[-1:]])
-    n = int(offsets[-1])
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def scenario_loads(ops: FeederOps, scenario, hour: int, profile) -> np.ndarray:
@@ -525,6 +514,5 @@ def solve_feeder(
         branch_currents=i_line,
         pcc_power_kw=s_pcc,
         head_current=head,
-        iterations=it,
         feeder_iterations=rounds,
     )

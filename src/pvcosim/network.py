@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -65,6 +66,7 @@ class Branch:
             z[r, c] = val
         return z
 
+    @cached_property
     def admittance_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sequence-domain two-port ``(yff, yft, ytt)``, 3x3 each; ``ytf == yft``.
 
@@ -72,7 +74,7 @@ class Branch:
         ``zero_seq_open`` branch carries no zero-sequence current between
         its terminals, only the grounding leg ``1/z0`` on its to side
         (delta/wye-grounded convention with the delta winding on the
-        from side).
+        from side). Built once per branch, read-only.
         """
         if self.coupling:
             yser = np.linalg.inv(self.series_impedance_matrix())
@@ -87,6 +89,8 @@ class Branch:
                 blk[0, :] = 0
                 blk[:, 0] = 0
             ytt[0, 0] = 1.0 / self.z0
+        for blk in (yff, yft, ytt):
+            blk.flags.writeable = False
         return yff, yft, ytt
 
 
@@ -251,7 +255,7 @@ def build_sequence_admittance(net: TransmissionNetwork) -> np.ndarray:
     """Stacked nodal admittance (3n x 3n) of the three sequence networks.
 
     Entry ``s * n + i`` is sequence ``s`` (zero, positive, negative) at bus
-    ``i``. Every branch adds its full :meth:`Branch.admittance_blocks`, so
+    ``i``. Every branch adds its full ``Branch.admittance_blocks``, so
     the sequence networks fill the diagonal blocks and a coupled branch's
     inter-sequence admittance the off-diagonal ones; every bus adds its
     shunt to all three sequences.
@@ -261,7 +265,7 @@ def build_sequence_admittance(net: TransmissionNetwork) -> np.ndarray:
     y = np.zeros((3 * n, 3 * n), dtype=complex)
     for br in net.branches:
         f, t = idx[br.from_bus], idx[br.to_bus]
-        yff, yft, ytt = br.admittance_blocks()
+        yff, yft, ytt = br.admittance_blocks
         y[f::n, f::n] += yff
         y[t::n, t::n] += ytt
         y[f::n, t::n] += yft

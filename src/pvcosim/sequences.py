@@ -1,4 +1,4 @@
-"""Fortescue symmetrical-component transforms and per-unit phase helpers.
+"""Fortescue transforms, per-unit phase helpers and the voltage unbalance factor.
 
 Conventions used throughout the package:
 
@@ -98,10 +98,14 @@ def phase_currents(s_phase: np.ndarray, v_phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def unbalance_percent(va: complex, vb: complex, vc: complex) -> float:
-    """Voltage unbalance factor 100*|V2|/|V1| for a phase triple."""
-    s = phase_to_sequence(va, vb, vc)
-    scale = max(abs(va), abs(vb), abs(vc), 1e-30)
-    if abs(s.positive) < 1e-12 * scale:
+def unbalance_factor(v_phase) -> float:
+    """Voltage unbalance factor ``100 |V2| / |V1|`` in percent of one phase
+    triple; ``ValueError`` unless it is three nonzero phasors with a V1."""
+    v = np.asarray(v_phase, dtype=complex)
+    if v.shape != (3,) or np.any(v == 0):
+        raise ValueError("three nonzero phase voltages required")
+    _, v1, v2 = A_ANA @ v
+    # Scalar abs: numpy's array abs rounds some complex magnitudes differently.
+    if abs(v1) < 1e-12 * max(abs(x) for x in v):
         raise ValueError("positive-sequence voltage is zero")
-    return 100.0 * abs(s.negative) / abs(s.positive)
+    return 100.0 * abs(v2) / abs(v1)

@@ -167,9 +167,9 @@ class SequenceOps:
                 self.p_gen[i] = p_set
         self.static_loads = np.array([complex(b.load_p, b.load_q) for b in net.buses])
 
-        # Each branch's two-port, for flows.
+        # Each branch's two-port, for flows: the blocks the assembly above read.
         self.blocks: list[tuple[int, int, Branch, tuple[np.ndarray, ...]]] = [
-            (self.idx[br.from_bus], self.idx[br.to_bus], br, br.admittance_blocks())
+            (self.idx[br.from_bus], self.idx[br.to_bus], br, br.admittance_blocks)
             for br in net.branches
         ]
 

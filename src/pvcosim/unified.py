@@ -219,7 +219,7 @@ class UnifiedOps:
 
         # --- loads: static bus loads here, feeder loads per call ----------
         self.bus_s = np.repeat([complex(b.load_p, b.load_q) / 3.0 for b in net.buses], 3)
-        self.kw_base = [1e3 * att.mva_base for att in attachments]
+        self.kw_base = [1e3 * att.feeder.mva_base for att in attachments]
 
         # --- generators ----------------------------------------------------
         slack = net.buses[slack_pos]

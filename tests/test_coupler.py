@@ -317,6 +317,11 @@ def test_boundary_conservation(ieee9, attachments, base_result):
 def test_max_fpi_must_allow_one_iteration():
     with pytest.raises(ValueError, match="max_fpi"):
         CoSimOptions(max_fpi=0)
+    with pytest.raises(ValueError, match="feeder_max_iter must be at least 1"):
+        CoSimOptions(feeder_max_iter=0)
+    for tol in (0.0, -1e-7):
+        with pytest.raises(ValueError, match="feeder_tol must be positive"):
+            CoSimOptions(feeder_tol=tol)
 
 
 def test_non_convergence_carries_history(ieee9, attachments):
@@ -330,6 +335,19 @@ def test_attach_validates_bus(ieee9, desk13):
         attach(ieee9, 99, desk13)
     with pytest.raises(ValueError, match="pq"):
         attach(ieee9, 1, desk13)
+
+
+@pytest.mark.parametrize("mva_base", [50, 200])
+def test_attach_rejects_a_feeder_on_another_mva_base(ieee9, mva_base):
+    # Both models read the substation transformer impedance on their own
+    # base, so a feeder on another base would disagree with the oracle.
+    raw = json.loads(data_path("desk13.json").read_text(encoding="utf-8"))
+    other = load_feeder(json.dumps({**raw, "mva_base": mva_base}))
+    message = f"feeder MVA base {mva_base} differs from the network's 100$"
+    with pytest.raises(ValueError, match=message):
+        attach(ieee9, 5, other)
+    same = load_feeder(json.dumps({**raw, "mva_base": 100}))
+    assert attach(ieee9, 5, same).feeder is same
 
 
 def test_solver_errors_tagged_with_side(ieee9):

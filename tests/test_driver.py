@@ -16,7 +16,6 @@ from pvcosim import (
     generate,
     run_step,
     solve_unified,
-    unbalance_factor,
 )
 from pvcosim import coupler, driver
 from pvcosim.cli import main as cli_main
@@ -139,23 +138,6 @@ def test_aggregates_match_csv_recomputation(tmp_path):
             for k, ph in enumerate("abc"):
                 mean_v = sum(float(r[f"v{bus}_{ph}_mag"]) for r in sel) / len(sel)
                 assert abs(bdata["mean_v"][k] - mean_v) < 1e-12
-
-
-def test_unbalance_factor_balanced_is_zero():
-    v = np.array([1, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
-    assert unbalance_factor(v) == pytest.approx(0.0)
-
-
-def test_unbalance_factor_hand_value():
-    v = np.array([1.0, np.exp(-2j * np.pi / 3), 1.02 * np.exp(2j * np.pi / 3)])
-    assert unbalance_factor(v) == pytest.approx(0.6622516556291308, abs=1e-12)
-
-
-def test_unbalance_factor_missing_phase():
-    with pytest.raises(ValueError):
-        unbalance_factor(np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        unbalance_factor(np.array([1.0, 1.0]))
 
 
 def test_reverse_flow_baseline_has_no_flags(small_results):
@@ -456,6 +438,12 @@ BUNDLED_DOC = {
         (lambda d: d.update(coupler={"max_fpi": 5, "damping": 0.5}),
          "unknown coupler option 'damping'"),
         (lambda d: d.update(scenario_mode="chaotic"), "unknown scenario mode 'chaotic'"),
+        (lambda d: d.update(n_scenario=3), "unknown configuration key 'n_scenario'"),
+        (lambda d: d["feeders"][0].update(weight=2), "unknown feeder 0 key 'weight'"),
+        (lambda d: d.update(hours=[]), "hours must be non-empty"),
+        (lambda d: d.update(coupler={"feeder_max_iter": 0}),
+         "feeder_max_iter must be at least 1"),
+        (lambda d: d.update(coupler={"feeder_tol": 0}), "feeder_tol must be positive"),
     ],
 )
 def test_cli_malformed_config_file_is_a_usage_error(tmp_path, edit, message):

@@ -11,7 +11,7 @@ from pvcosim.sequences import (
     phases_from_sequences,
     sequence_to_phase,
     sequences_from_phases,
-    unbalance_percent,
+    unbalance_factor,
 )
 
 A120 = np.exp(-2j * np.pi / 3)  # 1 at -120 degrees
@@ -124,16 +124,21 @@ def test_phase_current_zero_voltage_raises():
         phase_currents(np.array([0.1 + 0j, 0, 0]), np.array([0j, 1, 1]))
 
 
-def test_unbalance_percent_balanced_is_zero():
-    assert unbalance_percent(polar(1, 0), polar(1, -120), polar(1, 120)) == pytest.approx(0.0)
-
-
-def test_unbalance_percent_hand_value():
-    # 2% magnitude bump on phase c, worked through the transform by hand.
-    got = unbalance_percent(polar(1, 0), polar(1, -120), polar(1.02, 120))
-    assert got == pytest.approx(0.6622516556291308, abs=1e-12)
-
-
-def test_unbalance_percent_zero_positive_raises():
-    with pytest.raises(ValueError):
-        unbalance_percent(1 + 0j, 1 + 0j, 1 + 0j)
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        ([polar(1, 0), polar(1, -120), polar(1, 120)], 0.0),
+        # 2% magnitude bump on phase c, worked through the transform by hand.
+        ([polar(1, 0), polar(1, -120), polar(1.02, 120)], 0.6622516556291308),
+        ([1 + 0j, 1 + 0j, 1 + 0j], "positive-sequence voltage is zero"),
+        ([1.0, 0.0, 1.0], "three nonzero phase voltages required"),
+        ([1.0, 1.0], "three nonzero phase voltages required"),
+    ],
+    ids=["balanced", "hand_value", "all_equal", "zero_phase", "two_elements"],
+)
+def test_unbalance_factor(v, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            unbalance_factor(np.array(v))
+    else:
+        assert unbalance_factor(np.array(v)) == pytest.approx(expected, abs=1e-12)

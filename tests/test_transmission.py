@@ -414,6 +414,17 @@ def _coupled_ieee9():
     return load_network(json.dumps(doc))
 
 
+@pytest.mark.parametrize("coupled", [False, True], ids=["ieee9", "coupled"])
+def test_branch_two_ports_are_built_once_and_read_only(coupled):
+    net = _coupled_ieee9() if coupled else load_network(data_path("ieee9.json").read_text())
+    ops = SequenceOps(net)
+    for k, br in enumerate(net.branches):
+        assert ops.blocks[k][3] is br.admittance_blocks
+    for blk in net.branches[3].admittance_blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            blk[1, 1] = 0
+
+
 def test_jacobian_matches_central_differences():
     # Heavily unbalanced loads on every bus but ieee9's two pinned
     # zero-sequence buses and one more, large V0/V2, and one coupled line.
