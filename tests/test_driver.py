@@ -16,6 +16,7 @@ from pvcosim import (
     generate,
     run_step,
     solve_unified,
+    unbalance_factor,
 )
 from pvcosim import coupler, driver
 from pvcosim.cli import main as cli_main
@@ -138,6 +139,23 @@ def test_aggregates_match_csv_recomputation(tmp_path):
             for k, ph in enumerate("abc"):
                 mean_v = sum(float(r[f"v{bus}_{ph}_mag"]) for r in sel) / len(sel)
                 assert abs(bdata["mean_v"][k] - mean_v) < 1e-12
+
+
+def test_unbalance_factor_balanced_is_zero():
+    # The package export is the function the driver records VUF with.
+    assert unbalance_factor is driver.unbalance_factor
+    v = np.array([1, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
+    assert unbalance_factor(v) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_unbalance_factor_hand_value():
+    # |V2| / |V1| written out from the Fortescue definition, a = 1 at 120 degrees.
+    a = np.exp(2j * np.pi / 3)
+    va, vb, vc = 1.0, np.exp(-2j * np.pi / 3), 1.02 * np.exp(2j * np.pi / 3)
+    v1 = (va + a * vb + a * a * vc) / 3
+    v2 = (va + a * a * vb + a * vc) / 3
+    got = unbalance_factor(np.array([va, vb, vc]))
+    assert got == pytest.approx(100 * abs(v2) / abs(v1), abs=1e-12)
 
 
 def test_reverse_flow_baseline_has_no_flags(small_results):
