@@ -6,10 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .driver import RunConfig, emit, oracle_rows, run, validate_config
-from .feeder import load_feeder_file
-from .network import load_network_file
-from .scenarios import load_profile_file
+from .driver import Models, RunConfig, emit, load_models, oracle_rows, run, validate_config
 from .unified import AGREEMENT_PU
 
 
@@ -33,8 +30,8 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _cmd_run(cfg: RunConfig) -> int:
-    results = run(cfg)
+def _cmd_run(cfg: RunConfig, models: Models) -> int:
+    results = run(cfg, models)
     paths = emit(results, cfg.out_dir)
     failed = [r for r in results.records if r.error is not None]
     print(f"completed {len(results.records)} runs ({len(failed)} failed)")
@@ -43,8 +40,8 @@ def _cmd_run(cfg: RunConfig) -> int:
     return 0 if not failed else 1
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
-    results = run(replace(cfg, mode="both"))
+def _cmd_compare(cfg: RunConfig, models: Models) -> int:
+    results = run(replace(cfg, mode="both"), models)
     paths = emit(results, cfg.out_dir)
     failed = [r for r in [*results.baseline.values(), *results.records] if r.error]
     print(
@@ -66,19 +63,18 @@ def _cmd_compare(cfg: RunConfig) -> int:
     return 0 if not failed and worst < AGREEMENT_PU else 1
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    net = load_network_file(cfg.network)
+def _cmd_validate(cfg: RunConfig, models: Models) -> int:
+    net = models.net
     print(f"network: {len(net.buses)} buses, {len(net.branches)} branches, "
           f"{len(net.generators)} generators [ok]")
-    for path, bus in cfg.feeders:
-        f = load_feeder_file(path)
+    for (_, bus), f in zip(cfg.feeders, models.feeders):
         print(f"feeder at bus {bus}: {len(f.nodes)} nodes, "
               f"{len(f.customers())} customers, peak {f.peak_kw:.0f} kW [ok]")
-    profile = load_profile_file(cfg.profile)
+    profile = models.profile
     print(f"profile '{profile.name}': daily energy {profile.daily_energy_per_kw():.2f} kWh/kW [ok]")
 
     hour = cfg.hours[0]
-    results = run(replace(cfg, mode="both", n_scenarios=0, hours=(hour,)))
+    results = run(replace(cfg, mode="both", n_scenarios=0, hours=(hour,)), models)
     base = results.baseline[hour]
     if base.error:
         print(f"no-PV base case failed: {base.error}")
@@ -129,11 +125,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
+        models = load_models(cfg)
     except (ValueError, FileNotFoundError) as exc:
-        # A rejected configuration is a usage error, reported as argparse does.
+        # A rejected configuration, or a network, feeder or profile file that
+        # does not load or attach, is a usage error, reported as argparse does.
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    return args.func(cfg)
+    return args.func(cfg, models)
 
 
 if __name__ == "__main__":

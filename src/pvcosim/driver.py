@@ -23,6 +23,7 @@ import numpy as np
 
 from . import data_path
 from .coupler import (
+    Attachment,
     BoundaryState,
     CoSimOptions,
     CosimNonConvergenceError,
@@ -30,9 +31,16 @@ from .coupler import (
     run_step,
     step_ops,
 )
-from .feeder import load_feeder_file
-from .network import load_network_file
-from .scenarios import PvScenario, feeder_seed, generate, load_profile_file, validate_draw
+from .feeder import FeederModel, load_feeder_file
+from .network import TransmissionNetwork, load_network_file
+from .scenarios import (
+    GenerationProfile,
+    PvScenario,
+    feeder_seed,
+    generate,
+    load_profile_file,
+    validate_draw,
+)
 from .sequences import A_ANA, unbalance_factor
 from .transmission import SolverOptions, branch_flows
 from .unified import UnifiedOps, UnifiedSolution, compare, solve_unified
@@ -41,6 +49,8 @@ __all__ = [
     "RunConfig",
     "RunRecord",
     "ResultSet",
+    "Models",
+    "load_models",
     "run",
     "detect_reverse_flow",
     "emit",
@@ -223,18 +233,37 @@ class ResultSet:
         return out
 
 
-class _Runner:
-    """Loads models once and executes individual (scenario, level, hour) cases."""
+@dataclass(frozen=True)
+class Models:
+    """A configuration's parsed inputs: each file read once, feeders attached."""
 
-    def __init__(self, cfg: RunConfig):
+    net: TransmissionNetwork
+    profile: GenerationProfile
+    feeders: tuple[FeederModel, ...]  # one per configured feeder, in order
+    attachments: tuple[Attachment, ...]
+
+
+def load_models(cfg: RunConfig) -> Models:
+    """Parse the network, the profile and each distinct feeder file, and
+    attach the feeders; a bad file raises its data error (a ``ValueError``)."""
+    net = load_network_file(cfg.network)
+    profile = load_profile_file(cfg.profile)
+    parsed = {p: load_feeder_file(p) for p in dict.fromkeys(p for p, _ in cfg.feeders)}
+    feeders = tuple(parsed[path] for path, _ in cfg.feeders)
+    attachments = tuple(attach(net, bus, f) for (_, bus), f in zip(cfg.feeders, feeders))
+    return Models(net, profile, feeders, attachments)
+
+
+class _Runner:
+    """Executes individual (scenario, level, hour) cases on a configuration's
+    models, loaded once (or given, when loaded from the same files)."""
+
+    def __init__(self, cfg: RunConfig, models: Models | None = None):
         self.cfg = cfg
-        self.net = load_network_file(cfg.network)
-        self.profile = load_profile_file(cfg.profile)
-        parsed = {p: load_feeder_file(p) for p in dict.fromkeys(p for p, _ in cfg.feeders)}
-        self.feeders = [parsed[path] for path, _ in cfg.feeders]
-        self.attachments = [
-            attach(self.net, bus, f) for (_, bus), f in zip(cfg.feeders, self.feeders)
-        ]
+        models = models or load_models(cfg)
+        self.net = models.net
+        self.profile = models.profile
+        self.attachments = list(models.attachments)
         # The co-simulation's operators, built here so that no case builds
         # them (the cases find them in step_ops' cache); oracle mode runs
         # none of it.
@@ -244,7 +273,7 @@ class _Runner:
         # Only PV cases draw scenarios, so a baseline-only run (n_scenarios=0)
         # also accepts a feeder without customers.
         self.scenarios: list[dict[tuple[int, int], PvScenario]] = []
-        for k, f in enumerate(self.feeders):
+        for k, f in enumerate(models.feeders):
             seed = feeder_seed(cfg.master_seed, k)
             drawn = (
                 generate(f, list(cfg.levels), cfg.n_scenarios, seed, cfg.scenario_mode)
@@ -367,10 +396,13 @@ def _run_chunk(cfg: RunConfig, cases: list[tuple[int, int, int]]):
     return [_safe_case(runner, sid, level, hour) for sid, level, hour in cases]
 
 
-def run(config: RunConfig) -> ResultSet:
-    """Execute the configured sweep; failures are recorded, not raised."""
+def run(config: RunConfig, models: Models | None = None) -> ResultSet:
+    """Execute the configured sweep; failures are recorded, not raised.
+
+    ``models``, when given, must be ``load_models`` of a configuration with
+    the same files; the run then parses none of them again."""
     validate_config(config)
-    runner = _Runner(config)
+    runner = _Runner(config, models)
 
     # No-PV baseline per hour anchors reverse-flow detection. A failed
     # baseline is recorded like any other failed run; when its

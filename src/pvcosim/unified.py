@@ -44,9 +44,10 @@ __all__ = [
 
 AGREEMENT_PU = 1e-3  # largest positive-sequence PCC difference that passes
 # A chord step keeps its factor while the mismatch falls below this share
-# of the previous step's. From 0.3 up the chord also converges past the
-# stress nose (pv_stress k = 3.875, PCC |V| about 0.72), where Newton
-# fails, so it would widen the oracle's convergence set.
+# of the previous step's. From 0.3 up the chord also converges at
+# pv_stress k = 3.875 (PCC |V| about 0.72), where Newton fails, to a root
+# that is not an operating point, so it would widen the oracle's
+# convergence set with such roots.
 CHORD_CONTRACTION = 0.2
 
 

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from pvcosim import (
     build_sequence_admittance,
     data_path,
+    generate,
     load_feeder_file,
     load_network,
     load_network_file,
     load_profile_file,
 )
+from pvcosim.scenarios import feeder_seed
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +30,16 @@ def desk13():
 @pytest.fixture(scope="session")
 def profile():
     return load_profile_file(data_path("pv_profile.json"))
+
+
+def stress_scenarios(feeder, k, buses=(5, 6, 8)):
+    """Scenario 0 of the ``pv_stress`` grid at seed 4242, one per PCC in
+    ``buses``: 100 % penetration, every PV rating times ``k``."""
+    drawn = [generate(feeder, [100], 1, feeder_seed(4242, i))[0] for i in range(len(buses))]
+    return [
+        replace(s, placements=tuple((node, ph, kw * k) for node, ph, kw in s.placements))
+        for s in drawn
+    ]
 
 
 def island_variants():

@@ -33,9 +33,14 @@ from pvcosim.coupler import (
 )
 from pvcosim.feeder import forest
 from pvcosim.sequences import A_ANA, phases_from_sequences
-from pvcosim.transmission import SequenceOps, SequenceSolveError, SolverOptions
+from pvcosim.transmission import (
+    NrNonConvergenceError,
+    SequenceOps,
+    SequenceSolveError,
+    SolverOptions,
+)
 
-from .conftest import constant_load_feeder, small_feeder
+from .conftest import constant_load_feeder, small_feeder, stress_scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -136,6 +141,51 @@ def test_boundary_history_carries_each_error_once(base_result):
     for prev, state in zip(hist, hist[1:]):
         assert state.error == boundary_error(prev, state)
     assert hist[-1].error <= CoSimOptions().tol_boundary
+
+
+# Scenario 0 of the pv_stress grid: every k below 3.875 converges, in
+# these numbers of accelerated boundary iterations (plain: the same up to
+# k = 3.375, then 5 6 7 11).
+STRESS_FPI = {
+    1.0: 2, 1.25: 2, 1.5: 3, 1.75: 3, 2.0: 3, 2.25: 3, 2.5: 3, 2.75: 3, 3.0: 3,
+    3.125: 4, 3.25: 4, 3.375: 5, 3.5: 5, 3.625: 6, 3.75: 6,
+}
+
+
+def test_stress_grid_iteration_counts(ieee9, attachments, desk13, profile):
+    got = {
+        k: run_step(ieee9, attachments, 12, stress_scenarios(desk13, k), profile=profile)
+        .fpi_iterations
+        for k in STRESS_FPI
+    }
+    assert got == STRESS_FPI
+
+
+@pytest.mark.parametrize("k", [3.875, 4.0])
+def test_stress_grid_fails_on_the_transmission_side_past_the_nose(
+    ieee9, attachments, desk13, profile, k
+):
+    # The accelerated boundary loop drives the transmission Newton off the
+    # branch from the no-PV case; the stall rule stops it within a few
+    # steps (17 and 20 steps without it).
+    with pytest.raises(CosimError) as err:
+        run_step(ieee9, attachments, 12, stress_scenarios(desk13, k), profile=profile)
+    assert err.value.side == "transmission"
+    assert isinstance(err.value.__cause__, NrNonConvergenceError)
+    assert err.value.__cause__.iterations <= 4
+
+
+def test_accelerated_case_is_a_fixed_point(ieee9, attachments, desk13, profile, monkeypatch):
+    scen = stress_scenarios(desk13, 3.75)
+    res = run_step(ieee9, attachments, 12, scen, profile=profile)
+    with monkeypatch.context() as m:
+        m.setattr(coupler, "SLOW_CONTRACTION", np.inf)  # never accelerate
+        plain = run_step(ieee9, attachments, 12, scen, profile=profile)
+    assert (res.fpi_iterations, plain.fpi_iterations) == (6, 11)
+    shift = verify_fixed_point(
+        ieee9, attachments, res, hour=12, profile=profile, scenario_per_feeder=scen
+    )
+    assert shift <= CoSimOptions().tol_boundary
 
 
 def test_fixed_point_certificate_uses_feeder_max_iter(ieee9):

@@ -494,6 +494,49 @@ def one_feeder_config(tmp_path, feeder_path, **extra):
     return str(path)
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "compare"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(mva_base=50), "feeder MVA base 50 differs from the network's 100"),
+        (lambda d: d.update(nodes=[]), "feeder has no nodes"),
+    ],
+)
+def test_cli_feeder_that_does_not_load_or_attach_is_a_usage_error(
+    tmp_path, command, edit, message
+):
+    doc = json.loads(data_path("desk13.json").read_text())
+    edit(doc)
+    (tmp_path / "feeder.json").write_text(json.dumps(doc))
+    one_feeder_config(tmp_path, tmp_path / "feeder.json")
+    _assert_usage_error(
+        tmp_path, command, ["--config", "cfg.json"], f"pvcosim {command}: error: {message}"
+    )
+
+
+def test_cli_network_that_does_not_load_is_a_usage_error(tmp_path):
+    doc = json.loads(data_path("ieee9.json").read_text())
+    doc["mva_base"] = 0
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    (tmp_path / "cfg.json").write_text(json.dumps({**BUNDLED_DOC, "network": "net.json"}))
+    _assert_usage_error(
+        tmp_path, "validate", ["--config", "cfg.json"],
+        "pvcosim validate: error: mva_base must be positive",
+    )
+
+
+def test_cli_validate_reads_each_input_once(monkeypatch, capsys):
+    calls = []
+    for name in ("load_network_file", "load_feeder_file", "load_profile_file"):
+        load = getattr(driver, name)
+        monkeypatch.setattr(
+            driver, name, lambda path, name=name, load=load: calls.append(name) or load(path)
+        )
+    assert cli_main(["validate"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert sorted(calls) == ["load_feeder_file", "load_network_file", "load_profile_file"]
+
+
 def test_cli_validate_failed_base_case(tmp_path, capsys):
     cfg = one_feeder_config(
         tmp_path, data_path("desk13.json"), coupler={"max_fpi": 1, "tol_boundary": 1e-12}

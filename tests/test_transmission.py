@@ -7,7 +7,6 @@ import pytest
 from pvcosim import (
     attach,
     data_path,
-    generate,
     load_network,
     run_step,
     solve_three_sequence,
@@ -15,7 +14,6 @@ from pvcosim import (
 )
 from pvcosim.coupler import CosimError, _pcc_loads, step_ops
 from pvcosim.network import Branch, Bus, TransmissionNetwork
-from pvcosim.scenarios import feeder_seed
 from pvcosim.sequences import A_SYN, phases_from_sequences, sequences_from_phases
 from pvcosim.transmission import (
     NrNonConvergenceError,
@@ -30,7 +28,7 @@ from pvcosim.transmission import (
     branch_flows,
 )
 
-from .conftest import island_variants, sequence_networks, two_bus_case
+from .conftest import island_variants, sequence_networks, stress_scenarios, two_bus_case
 from .oracles import (
     balanced_power_flow,
     brute_force_sequence_y,
@@ -545,13 +543,7 @@ def test_current_into_a_pinned_bus_is_rejected(ieee9):
 def _stress_case(ieee9, desk13, k):
     """Attachments and scaled scenarios of ``pv_stress`` scenario 0 at seed
     4242: 100 % penetration on all three desk13 feeders, ratings times k."""
-    attachments = [attach(ieee9, b, desk13) for b in (5, 6, 8)]
-    drawn = [generate(desk13, [100], 1, feeder_seed(4242, i))[0] for i in range(3)]
-    scaled = [
-        replace(s, placements=tuple((node, ph, kw * k) for node, ph, kw in s.placements))
-        for s in drawn
-    ]
-    return attachments, scaled
+    return [attach(ieee9, b, desk13) for b in (5, 6, 8)], stress_scenarios(desk13, k)
 
 
 def test_coupled_solve_matches_tight_jacobi_reference(ieee9, desk13, profile):
@@ -569,11 +561,12 @@ def test_coupled_solve_matches_tight_jacobi_reference(ieee9, desk13, profile):
 
 
 def test_stress_failure_past_the_nose_is_newtons(ieee9, desk13, profile):
-    # k = 3.75 converges in 11 boundary iterations. At k = 3.875 the
-    # boundary loop drives the transmission Newton past the nose.
+    # k = 3.75 converges in 6 accelerated boundary iterations (11 plain).
+    # At k = 3.875 the boundary loop drives the transmission Newton off the
+    # branch from the no-PV case.
     attachments, scen = _stress_case(ieee9, desk13, 3.75)
     res = run_step(ieee9, attachments, 12, scen, profile=profile)
-    assert res.fpi_iterations == 11
+    assert res.fpi_iterations == 6
     attachments, scen = _stress_case(ieee9, desk13, 3.875)
     with pytest.raises(CosimError) as err:
         run_step(ieee9, attachments, 12, scen, profile=profile)
@@ -582,8 +575,9 @@ def test_stress_failure_past_the_nose_is_newtons(ieee9, desk13, profile):
 
 
 def test_newton_fails_fast_past_the_nose(ieee9, desk13, profile):
-    # At k = 4.0 no operating point exists: the mismatch passes ten times
-    # its start within a few steps, well before max_nr.
+    # At k = 4.0 there is no operating point on the branch from the no-PV
+    # case: the Newton stalls or diverges within a few steps, well before
+    # max_nr.
     attachments, scen = _stress_case(ieee9, desk13, 4.0)
     with pytest.raises(CosimError, match=r"^\[transmission\] Newton-Raphson") as err:
         run_step(ieee9, attachments, 12, scen, profile=profile)

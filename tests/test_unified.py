@@ -12,14 +12,19 @@ from pvcosim import (
     solve_three_sequence,
     solve_unified,
 )
-from pvcosim.coupler import CoSimOptions, _feeder_loads, source_voltage
+from pvcosim.coupler import CoSimOptions, CosimError, _feeder_loads, source_voltage
 from pvcosim.driver import RunConfig, _Runner
 from pvcosim.network import Bus
-from pvcosim.scenarios import feeder_seed
 from pvcosim.sequences import A_ANA
 from pvcosim.unified import AGREEMENT_PU, UnifiedOps, UnifiedSolveError
 
-from .conftest import constant_load_feeder, island_variants, sequence_networks, small_feeder
+from .conftest import (
+    constant_load_feeder,
+    island_variants,
+    sequence_networks,
+    small_feeder,
+    stress_scenarios,
+)
 from .oracles import fixed_point_unified, union_find_islands
 
 
@@ -243,18 +248,47 @@ def test_heavy_pv_refactors_and_still_agrees(ieee9, desk13, profile, attachments
 
 def test_stress_convergence_edge_is_newtons(ieee9, desk13, profile, attachments):
     # The first pv_stress scenario at seed 4242: Newton converges at
-    # k = 3.75 and fails at k = 3.875, past the nose; the chord steps must
-    # neither lose the first nor gain the second.
-    drawn = [generate(desk13, [100], 1, feeder_seed(4242, i))[0] for i in range(3)]
+    # k = 3.75 and fails at k = 3.875, where a root exists but not on the
+    # operating branch; the chord steps must neither lose the first nor
+    # converge to that root.
     ops = UnifiedOps(ieee9, attachments)
     us = solve_unified(
-        ieee9, attachments, 12, [_scaled(s, 3.75) for s in drawn], profile=profile, ops=ops
+        ieee9, attachments, 12, stress_scenarios(desk13, 3.75), profile=profile, ops=ops
     )
     assert us.residual <= 1e-10
     with pytest.raises(UnifiedSolveError):
         solve_unified(
-            ieee9, attachments, 12, [_scaled(s, 3.875) for s in drawn], profile=profile, ops=ops
+            ieee9, attachments, 12, stress_scenarios(desk13, 3.875), profile=profile, ops=ops
         )
+
+
+@pytest.mark.parametrize("k", [3.8, 3.81, 3.815])
+def test_accelerated_cosim_meets_the_boundary_tolerance_before_the_fold(
+    ieee9, desk13, profile, attachments, k
+):
+    # Just before the fold the plain boundary map contracts slowly: at
+    # k = 3.8 (ratio 0.76) it stops 2.7e-4 pu away from the oracle on some
+    # phase, though its last change was below tol_boundary, and from
+    # k = 3.81 on it does not converge within max_fpi. The accelerated
+    # loop, which also stops only once its step is that small, lands
+    # within tol_boundary on every phase of every PCC.
+    scen = stress_scenarios(desk13, k)
+    cs = run_step(ieee9, attachments, 12, scen, profile=profile)
+    us = solve_unified(ieee9, attachments, 12, scen, profile=profile)
+    gap = np.max(np.abs(cs.final_boundary.v_phase - us.pcc_voltage))
+    assert gap <= CoSimOptions().tol_boundary
+
+
+def test_accelerated_cosim_converges_up_to_the_fold(ieee9, desk13, profile, attachments):
+    # The fold lies between k = 3.8202 and 3.8225. Below it the
+    # co-simulation converges and agrees with the oracle by criterion 1;
+    # past it the boundary loop must not settle anywhere.
+    scen = stress_scenarios(desk13, 3.82)
+    cs = run_step(ieee9, attachments, 12, scen, profile=profile)
+    us = solve_unified(ieee9, attachments, 12, scen, profile=profile)
+    assert compare(cs, us, attachments)["max_diff"] < AGREEMENT_PU
+    with pytest.raises(CosimError):
+        run_step(ieee9, attachments, 12, stress_scenarios(desk13, 3.8225), profile=profile)
 
 
 def test_step_cap_raises_typed_error(ieee9, attachments):
