@@ -32,14 +32,18 @@ def profile():
     return load_profile_file(data_path("pv_profile.json"))
 
 
-def stress_scenarios(feeder, k, buses=(5, 6, 8)):
-    """Scenario 0 of the ``pv_stress`` grid at seed 4242, one per PCC in
-    ``buses``: 100 % penetration, every PV rating times ``k``."""
-    drawn = [generate(feeder, [100], 1, feeder_seed(4242, i))[0] for i in range(len(buses))]
-    return [
-        replace(s, placements=tuple((node, ph, kw * k) for node, ph, kw in s.placements))
-        for s in drawn
-    ]
+def scaled(scenario, k):
+    """``scenario`` with every PV rating times ``k``."""
+    return replace(
+        scenario,
+        placements=tuple((node, ph, kw * k) for node, ph, kw in scenario.placements),
+    )
+
+
+def stress_scenarios(feeder, k):
+    """Scenario 0 of the ``pv_stress`` grid at seed 4242, one per PCC of
+    buses 5, 6 and 8: 100 % penetration, every PV rating times ``k``."""
+    return [scaled(generate(feeder, [100], 1, feeder_seed(4242, i))[0], k) for i in range(3)]
 
 
 def island_variants():

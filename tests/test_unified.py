@@ -21,6 +21,7 @@ from pvcosim.unified import AGREEMENT_PU, UnifiedOps, UnifiedSolveError
 from .conftest import (
     constant_load_feeder,
     island_variants,
+    scaled,
     sequence_networks,
     small_feeder,
     stress_scenarios,
@@ -183,18 +184,11 @@ def test_newton_matches_fixed_point_reference():
         assert np.max(np.abs(us.pcc_voltage - v[ops.pcc_slots])) < 1e-9, level
 
 
-def _scaled(scenario, k):
-    return replace(
-        scenario,
-        placements=tuple((node, ph, kw * k) for node, ph, kw in scenario.placements),
-    )
-
-
 @pytest.mark.parametrize("k", [3.25, 3.5, 3.75])
 def test_converges_wherever_cosim_does_under_heavy_pv(ieee9, desk13, profile, attachments, k):
     # Criterion 1's full-penetration scenarios with every PV rating times
     # k: the co-simulation still converges here, so the oracle must too.
-    scen = [_scaled(generate(desk13, [100], 1, master_seed=s)[0], k) for s in range(3)]
+    scen = [scaled(generate(desk13, [100], 1, master_seed=s)[0], k) for s in range(3)]
     us = solve_unified(ieee9, attachments, 12, scen, profile=profile)
     cs = run_step(ieee9, attachments, 12, scen, profile=profile)
     assert compare(cs, us, attachments)["max_diff"] < AGREEMENT_PU
@@ -209,7 +203,7 @@ def _solution_bytes(us):
 def test_case_order_does_not_change_the_answer(ieee9, desk13, profile, attachments):
     # The chord steps start from the run's reference factor, never from an
     # earlier case's: B after a heavy case A equals B on fresh operators.
-    heavy = [_scaled(generate(desk13, [100], 1, master_seed=s)[0], 3.75) for s in range(3)]
+    heavy = [scaled(generate(desk13, [100], 1, master_seed=s)[0], 3.75) for s in range(3)]
     light = [generate(desk13, [30], 1, master_seed=s)[0] for s in range(3)]
     ops = UnifiedOps(ieee9, attachments)
     first = solve_unified(ieee9, attachments, 12, heavy, profile=profile, ops=ops)
@@ -239,7 +233,7 @@ def test_factorizations_never_exceed_steps():
 
 
 def test_heavy_pv_refactors_and_still_agrees(ieee9, desk13, profile, attachments):
-    scen = [_scaled(generate(desk13, [100], 1, master_seed=s)[0], 3.75) for s in range(3)]
+    scen = [scaled(generate(desk13, [100], 1, master_seed=s)[0], 3.75) for s in range(3)]
     us = solve_unified(ieee9, attachments, 12, scen, profile=profile)
     assert us.factorizations >= 1
     cs = run_step(ieee9, attachments, 12, scen, profile=profile)
