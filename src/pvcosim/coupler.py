@@ -28,13 +28,15 @@ effective network and the feeder forest are built once and cached on the
 network instance for its last attachment set, next to the model as
 ``FeederModel.ops`` is.
 
-Attaching a feeder to a bus replaces that bus's static load; the
-substation transformer ratio is nominal, so per-unit voltages map
-one-to-one across the boundary.
+Attaching a feeder to a bus replaces that bus's static load. ``attach``
+requires the substation transformer ratio to be nominal, the bus's base
+kV over the feeder's, so per-unit voltages map one-to-one across the
+boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,7 +108,8 @@ class Attachment:
 
 def attach(net: TransmissionNetwork, bus_id: int, feeder: FeederModel) -> Attachment:
     """Build an attachment; the PCC must be a pq bus, and the feeder must
-    be on the network's system MVA base, as the boundary powers are."""
+    be on the network's system MVA base, as the boundary powers are, with
+    a nominal transformer ratio."""
     bus = next((b for b in net.buses if b.id == bus_id), None)
     if bus is None:
         raise ValueError(f"unknown bus {bus_id}")
@@ -115,6 +118,12 @@ def attach(net: TransmissionNetwork, bus_id: int, feeder: FeederModel) -> Attach
     if feeder.mva_base != net.mva_base:
         raise ValueError(
             f"feeder MVA base {feeder.mva_base:g} differs from the network's {net.mva_base:g}"
+        )
+    nominal = bus.base_kv / feeder.kv_base
+    if not math.isclose(feeder.transformer.ratio, nominal, rel_tol=1e-9):
+        raise ValueError(
+            f"feeder transformer ratio {feeder.transformer.ratio:.10g} differs from the "
+            f"nominal {nominal:.10g} ({bus.base_kv:g} kV / {feeder.kv_base:g} kV)"
         )
     return Attachment(bus=bus_id, feeder=feeder)
 

@@ -476,8 +476,8 @@ def c_str(x: complex) -> str:
 
 
 def emit(results: ResultSet, out_dir) -> dict[str, Path]:
-    """Write results.csv, aggregates.json, trace.jsonl and plot data, plus
-    compare.csv in ``both`` mode."""
+    """Write results.csv, aggregates.json, trace.jsonl and
+    plot_iterations.csv, plus compare.csv in ``both`` mode."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     flags = detect_reverse_flow(results)
@@ -550,14 +550,6 @@ def emit(results: ResultSet, out_dir) -> dict[str, Path]:
                 }
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
 
-    plot_v = out / "plot_voltage.csv"
-    with open(plot_v, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("level,bus,phase,mean_v\n")
-        for level, ldata in sorted(agg["levels"].items(), key=lambda kv: int(kv[0])):
-            for bus, bdata in sorted(ldata["pcc"].items(), key=lambda kv: int(kv[0])):
-                for k, ph in enumerate("abc"):
-                    fh.write(f"{level},{bus},{ph},{_fmt(bdata['mean_v'][k])}\n")
-
     plot_it = out / "plot_iterations.csv"
     with open(plot_it, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("level,mean_fpi\n")
@@ -568,7 +560,6 @@ def emit(results: ResultSet, out_dir) -> dict[str, Path]:
         "results": results_csv,
         "aggregates": aggregates_json,
         "trace": trace_jsonl,
-        "plot_voltage": plot_v,
         "plot_iterations": plot_it,
     }
     if results.config.mode == "both":

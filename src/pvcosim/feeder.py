@@ -5,7 +5,8 @@ Feeder files are JSON with ``nodes``, ``lines``, ``transformer``,
 ``[re, im]`` pairs in ohms; loads are kW/kvar per phase. The solver
 works in volts and ohms; the source voltage at the PCC is given in
 per-unit of the feeder line-to-neutral base (the substation transformer
-ratio is nominal, so transmission per-unit maps one-to-one).
+ratio is nominal, which ``coupler.attach`` checks, so transmission
+per-unit maps one-to-one).
 
 ``FeederOps`` holds one feeder's sweep operator, built once per model
 (``FeederModel.ops``); ``forest`` stacks several into one operator with

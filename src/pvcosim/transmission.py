@@ -30,7 +30,8 @@ A solve stops with ``NrNonConvergenceError`` when its mismatch grows past
 ``DIVERGENCE`` times its starting value, or when ``STALL`` kept steps in
 a row find no new lowest mismatch: past the voltage nose there is no
 operating point on the branch from the no-PV case, and the Newton would
-otherwise wander until ``max_nr``.
+otherwise wander until ``max_nr``. The error's message names the rule
+that stopped the solve.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ class PowerFlowError(RuntimeError):
 
 
 class NrNonConvergenceError(PowerFlowError):
-    def __init__(self, iterations: int, mismatch: float):
+    def __init__(self, iterations: int, mismatch: float, rule: str):
         super().__init__(
             f"Newton-Raphson did not converge in {iterations} iterations "
-            f"(final mismatch {mismatch:.3e} pu)"
+            f"(final mismatch {mismatch:.3e} pu; stop rule: {rule})"
         )
         self.iterations = iterations
         self.mismatch = mismatch
@@ -127,7 +128,6 @@ class SeqSolution:
     iterations_outer: int  # always 1: one Newton solves all three sequences
     iterations_nr: int
     max_mismatch: float
-    loads_phase: np.ndarray  # (n, 3) per-phase powers actually served
     # The LU factor of the last Newton matrix; a solve started from this
     # solution takes its first steps on it.
     factor: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -153,9 +153,6 @@ class SequenceOps:
         # The stacked sequence admittance over (V0, V1, V2), entry s * n + i
         # for sequence s at bus i; the three networks are its diagonal blocks.
         self.y3 = build_sequence_admittance(net)
-        self.y0, self.y1, self.y2 = (
-            self.y3[s * n : (s + 1) * n, s * n : (s + 1) * n] for s in range(3)
-        )
 
         kinds = [b.kind for b in net.buses]
         self.slack = kinds.index("slack")
@@ -191,8 +188,8 @@ class SequenceOps:
         # as floats, a complex array holds (re, im) pairs: ``mismatch_take``
         # picks each equation from the stacked mismatch and ``jac_take``
         # each entry from the 3n x m complex derivatives along the unknowns.
-        self.grounded0, self.pinned0 = _islands(self.y0, self.slack)
-        self.grounded2, self.pinned2 = _islands(self.y2, self.slack)
+        self.grounded0, self.pinned0 = _islands(self.y3[:n, :n], self.slack)
+        self.grounded2, self.pinned2 = _islands(self.y3[2 * n :, 2 * n :], self.slack)
         self.v02 = np.concatenate([self.grounded0, 2 * n + self.grounded2])
         self.pinned02 = np.concatenate([self.pinned0, 2 * n + self.pinned2])
         self.pos = np.concatenate([n + self.pvpq, n + self.pq, self.v02, self.v02])
@@ -249,15 +246,13 @@ def _islands(y: np.ndarray, slack: int) -> tuple[np.ndarray, np.ndarray]:
 class _LoadTerms(NamedTuple):
     """The terms that depend only on the per-phase loads."""
 
-    loaded: np.ndarray  # positions of the buses with any load
-    s_ph: np.ndarray  # their per-phase powers
+    s_ph: np.ndarray  # the per-phase powers of the buses with any load
     at: np.ndarray  # (loaded, 3) their sequences' positions in the stacked vector
 
 
 def _load_terms(loads_ph: np.ndarray) -> _LoadTerms:
     loaded = np.flatnonzero(np.abs(loads_ph).sum(axis=1) > 0)
-    at = loaded[:, None] + loads_ph.shape[0] * np.arange(3)
-    return _LoadTerms(loaded, loads_ph[loaded], at)
+    return _LoadTerms(loads_ph[loaded], loaded[:, None] + loads_ph.shape[0] * np.arange(3))
 
 
 def _load_phases(terms: _LoadTerms, x: np.ndarray) -> np.ndarray:
@@ -328,11 +323,11 @@ def _newton(
     opts: SolverOptions,
     x: np.ndarray,
     lu: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, int, float, list[float], tuple | None, np.ndarray]:
+) -> tuple[np.ndarray, int, float, tuple | None, np.ndarray]:
     """Newton-Raphson from the stacked voltages ``x`` = (V0, V1, V2), with
     chord steps on ``lu`` first when given. Returns (x, steps, mismatch,
-    history, factor, currents); the history holds the mismatch after each
-    kept step, the currents are those the generators inject at ``x``."""
+    factor, currents); the currents are those the generators inject at
+    ``x``."""
     n = ops.n
     x = x.astype(complex)
     x[n + ops.slack] = ops.v_set[ops.slack]
@@ -341,12 +336,11 @@ def _newton(
 
     f, norm, cur = _mismatch(ops, terms, x)
     start = best = norm
-    history = [norm]
     steps = stalled = 0
     refactor = lu is None
     while norm > opts.tol_nr:
         if steps == opts.max_nr:
-            raise NrNonConvergenceError(steps, norm)
+            raise NrNonConvergenceError(steps, norm, f"max_nr = {opts.max_nr}")
         steps += 1
         fresh = refactor
         if fresh:
@@ -357,21 +351,24 @@ def _newton(
             refactor = True  # take the step again on the Jacobian at x
             continue
         if not norm_new <= DIVERGENCE * start:
-            raise NrNonConvergenceError(steps, norm_new)
+            raise NrNonConvergenceError(
+                steps, norm_new, f"divergence, mismatch past {DIVERGENCE:g} times its start"
+            )
         stalled = 0 if norm_new < best else stalled + 1
         if stalled == STALL:
-            raise NrNonConvergenceError(steps, norm_new)
+            raise NrNonConvergenceError(
+                steps, norm_new, f"stall, {STALL} kept steps without a new lowest mismatch"
+            )
         best = min(best, norm_new)
         refactor = norm_new >= CHORD_CONTRACTION * norm
         x, f, norm, cur = x_new, f_new, norm_new, cur_new
-        history.append(norm)
 
     # A pinned island holds zero volts, so it must draw no current.
     stray = np.abs(cur[ops.pinned02]) > 1e-11
     if stray.any():
         bad = sorted(int(p) % n for p in ops.pinned02[stray])
         raise SequenceSolveError(bad, "current injected into ungrounded island")
-    return x, steps, norm, history, lu, cur
+    return x, steps, norm, lu, cur
 
 
 def solve_three_sequence(
@@ -391,14 +388,13 @@ def solve_three_sequence(
     """
     opts = opts or SolverOptions()
     ops = ops or SequenceOps(net)
-    loads_ph = ops.phase_load_matrix(pcc_loads)
-    terms = _load_terms(loads_ph)
+    terms = _load_terms(ops.phase_load_matrix(pcc_loads))
     if start is not None:
         x, lu = np.concatenate([start.v0, start.v1, start.v2]), start.factor
     else:
         zero = np.zeros(ops.n, dtype=complex)
         x, lu = np.concatenate([zero, ops.flat_voltages(), zero]), None
-    x, it, norm, _, lu, cur = _newton(ops, terms, opts, x, lu)
+    x, it, norm, lu, cur = _newton(ops, terms, opts, x, lu)
     v0, v1, v2 = x.reshape(3, ops.n)
     s = ops.n + ops.slack
     return SeqSolution(
@@ -410,7 +406,6 @@ def solve_three_sequence(
         iterations_outer=1,
         iterations_nr=it,
         max_mismatch=norm,
-        loads_phase=loads_ph,
         factor=lu,
     )
 

@@ -353,14 +353,18 @@ def test_failed_operator_build_caches_nothing(monkeypatch, desk13):
 
 
 def test_boundary_conservation(ieee9, attachments, base_result):
-    # What transmission served at each PCC (its load model) vs what the
-    # feeders actually drew at the final voltages.
+    # What transmission served at each PCC vs what the feeders actually
+    # drew at the final voltages. A PCC has no generator, so its load draws
+    # the sequence currents -Y v, the phase currents conj(3 s / v).
     final = base_result.final_boundary
     sol = base_result.seq_solution
+    y3 = step_ops(ieee9, attachments).seq.y3
+    drawn = -(y3 @ np.concatenate([sol.v0, sol.v1, sol.v2])).reshape(3, -1)
     tol = CoSimOptions().tol_boundary
     for k, att in enumerate(attachments):
         i = sol.index_of(att.bus)
-        served = sol.loads_phase[i]
+        v_ph = phases_from_sequences(sol.v0[i], sol.v1[i], sol.v2[i])
+        served = v_ph * np.conj(phases_from_sequences(*drawn[:, i])) / 3
         assert np.max(np.abs(served - final.s_phase[k])) <= 10 * tol
 
 
@@ -398,6 +402,22 @@ def test_attach_rejects_a_feeder_on_another_mva_base(ieee9, mva_base):
         attach(ieee9, 5, other)
     same = load_feeder(json.dumps({**raw, "mva_base": 100}))
     assert attach(ieee9, 5, same).feeder is same
+
+
+@pytest.mark.parametrize("ratio, shown", [(10.0, "10"), (230 / 34.5 * (1 + 1e-8), "6.666666733")])
+def test_attach_rejects_an_off_nominal_transformer_ratio(ieee9, ratio, shown):
+    # Per-unit voltages map one-to-one across the PCC only at the nominal
+    # ratio: bus 5's 230 kV over the feeder's 34.5 kV.
+    raw = json.loads(data_path("desk13.json").read_text(encoding="utf-8"))
+
+    def with_ratio(r):
+        return load_feeder(json.dumps({**raw, "transformer": {**raw["transformer"], "ratio": r}}))
+
+    nominal = r"the nominal 6\.666666667 \(230 kV / 34\.5 kV\)$"
+    with pytest.raises(ValueError, match=rf"feeder transformer ratio {shown} differs from {nominal}"):
+        attach(ieee9, 5, with_ratio(ratio))
+    near = with_ratio(230 / 34.5 * (1 + 1e-12))
+    assert attach(ieee9, 5, near).feeder is near
 
 
 def test_solver_errors_tagged_with_side(ieee9):
@@ -503,7 +523,6 @@ def test_source_voltage_reconstruction_spread():
         iterations_outer=1,
         iterations_nr=1,
         max_mismatch=0.0,
-        loads_phase=np.zeros((1, 3), dtype=complex),
     )
 
     class Att:

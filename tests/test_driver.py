@@ -404,7 +404,6 @@ def test_cli_run(tmp_path, capsys):
     assert (tmp_path / "results.csv").exists()
     assert (tmp_path / "aggregates.json").exists()
     assert (tmp_path / "trace.jsonl").exists()
-    assert (tmp_path / "plot_voltage.csv").exists()
     assert (tmp_path / "plot_iterations.csv").exists()
 
 
@@ -499,6 +498,10 @@ def one_feeder_config(tmp_path, feeder_path, **extra):
     "edit, message",
     [
         (lambda d: d.update(mva_base=50), "feeder MVA base 50 differs from the network's 100"),
+        (
+            lambda d: d["transformer"].update(ratio=10.0),
+            "feeder transformer ratio 10 differs from the nominal 6.666666667 (230 kV / 34.5 kV)",
+        ),
         (lambda d: d.update(nodes=[]), "feeder has no nodes"),
     ],
 )

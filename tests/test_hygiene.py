@@ -1,5 +1,6 @@
-"""Source hygiene checks: unused imports, dangling exports, exports that
-only tests use and the oracles' independence from the solvers they check."""
+"""Source hygiene checks: unused imports, dangling exports, exports and
+record fields that only tests use and the oracles' independence from the
+solvers they check."""
 
 import ast
 import importlib
@@ -140,6 +141,94 @@ def test_export_caller_check_flags_unused_and_keeps_used():
     module = "__all__ = ['by_name', 'by_attr', 'by_import', 'unused']\ndef unused():\n    pass\n"
     users = [module, "by_name()\nx.by_attr\n", "from m import by_import\n"]
     assert unused_exports({"m": module}, users) == ["m.unused"]
+
+
+def _last_name(node: ast.expr) -> str | None:
+    """The name a decorator or base ends in: ``dataclass`` for both
+    ``@dataclass(frozen=True)`` and ``@dataclasses.dataclass``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def record_fields(source: str) -> list[tuple[str, str]]:
+    """``(class, field)`` for each field of a dataclass or NamedTuple."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and (
+            any(_last_name(d) == "dataclass" for d in node.decorator_list)
+            or any(_last_name(b) == "NamedTuple" for b in node.bases)
+        ):
+            fields += [
+                (node.name, stmt.target.id)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    return fields
+
+
+def attribute_loads(source: str) -> set[str]:
+    """Every name a source reads as an attribute. Unlike ``referenced_names``
+    this counts no stores, so neither a field's own annotation nor a
+    keyword passed at construction reads it."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.class.field`` for each record field of ``modules`` that no
+    source in ``readers`` reads as an attribute."""
+    read = set().union(*map(attribute_loads, readers))
+    return [
+        f"{module}.{cls}.{name}"
+        for module, source in modules.items()
+        for cls, name in record_fields(source)
+        if name not in read
+    ]
+
+
+# The record fields that only tests read, each kept for its reason.
+TEST_ONLY_FIELDS = {
+    "unified.UnifiedSolution.residual": "tests check the oracle's final mismatch; "
+    "the structured solve reports in ROADMAP are to carry it",
+    "unified.UnifiedSolution.factorizations": "tests check that the oracle's chord "
+    "reuses its factor; the structured solve reports in ROADMAP are to carry it",
+    "coupler.CoSimResult.feeder_solutions": "tests assert each attachment's sweep "
+    "count and node order",
+}
+
+
+def test_every_record_field_has_a_reader_outside_tests():
+    """A field that only tests read is state the solvers build for nothing."""
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [
+        p.read_text(encoding="utf-8")
+        for folder in (ROOT / "demos", ROOT / "bench")
+        for p in sorted(folder.glob("*.py"))
+    ]
+    assert sorted(unread_fields(modules, [*modules.values(), *readers])) == sorted(TEST_ONLY_FIELDS)
+
+
+def test_field_check_flags_unread_and_keeps_read():
+    module = (
+        "import dataclasses\n"
+        "from typing import NamedTuple\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class A:\n"
+        "    read: int\n"
+        "    unread: int\n"
+        "    built: int\n"
+        "class B(NamedTuple):\n"
+        "    noted: int\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+        "a = A(read=1, unread=2, built=3)\n"
+    )
+    users = [module, "print(a.read)\n", "self.noted: int = 0\nb.built = 4\n"]
+    assert unread_fields({"m": module}, users) == ["m.A.unread", "m.A.built", "m.B.noted"]
 
 
 def test_oracle_shares_no_solver_code():

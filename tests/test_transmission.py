@@ -91,7 +91,7 @@ def test_bundled_case_matches_gauss_seidel(ieee9):
     ops = SequenceOps(ieee9)
     sbus = (ops.p_gen - ops.static_loads).astype(complex)
     ref = gauss_seidel(
-        ops.y1,
+        sequence_networks(ieee9)[1],
         sbus,
         ops.flat_voltages(),
         slack=ops.slack,
@@ -104,26 +104,38 @@ def test_bundled_case_matches_gauss_seidel(ieee9):
     assert np.max(np.abs(v - ref)) < 1e-7
 
 
-def test_nr_quadratic_tail(ieee9, monkeypatch):
-    hist = []
-    newton = transmission._newton
+def record_mismatches(monkeypatch) -> list[float]:
+    """The largest mismatch at every iterate Newton evaluates from here on."""
+    norms = []
+    mismatch = transmission._mismatch
 
-    def recorded(*args, **kwargs):
-        out = newton(*args, **kwargs)
-        hist.extend(out[3])
+    def recorded(*args):
+        out = mismatch(*args)
+        norms.append(out[1])
         return out
 
-    monkeypatch.setattr(transmission, "_newton", recorded)
+    monkeypatch.setattr(transmission, "_mismatch", recorded)
+    return norms
+
+
+def test_nr_quadratic_tail(ieee9, monkeypatch):
+    # This cold solve keeps every step it evaluates: each of its chord
+    # steps lowers the mismatch.
+    hist = record_mismatches(monkeypatch)
     solve_three_sequence(ieee9)
     assert len(hist) >= 3
     assert hist[-1] <= hist[-2] / 10
 
 
 def test_nr_non_convergence_reports_mismatch():
-    net = load_network(two_bus_case(load_p=10.0, load_q=5.0))
-    with pytest.raises(NrNonConvergenceError) as err:
-        solve_three_sequence(net, opts=SolverOptions(max_nr=3))
-    assert err.value.mismatch > 0
+    # A solvable load that needs more than three steps stops at max_nr;
+    # past the nose the stall rule stops the solve first, at step 3.
+    for load_p, rule in ((2.0, "max_nr = 3"), (10.0, "stall, 2 kept steps")):
+        net = load_network(two_bus_case(load_p=load_p, load_q=load_p / 2))
+        with pytest.raises(NrNonConvergenceError, match=f"stop rule: {rule}") as err:
+            solve_three_sequence(net, opts=SolverOptions(max_nr=3))
+        assert err.value.iterations == 3
+        assert err.value.mismatch > 0
 
 
 def test_singular_jacobian_reports_bus():
@@ -291,7 +303,7 @@ def test_hoisted_load_terms_match_per_bus_loop():
     n = ops.n
 
     terms = _load_terms(loads)
-    assert list(terms.loaded) == [i for i in range(n) if i != 8]
+    assert list(terms.at[:, 0]) == [i for i in range(n) if i != 8]
     _mismatch(ops, terms, 1.01 * x)  # the terms serve another step first
     _, _, got = _mismatch(ops, terms, x)
     ref = _reference_currents(net, x, loads)
@@ -454,11 +466,13 @@ def test_jacobian_matches_central_differences():
         w0[g0], w2[g2] = z[: g0.size], z[g0.size :]
         return w0, vm * np.exp(1j * va), w2
 
+    y0, y1, y2 = sequence_networks(net)
+
     def residual(u):
         w0, w1, w2 = unpack(u)
         comp = per_bus_compensation(net, w0, w1, w2, loads)
-        s1 = w1 * np.conj(ops.y1 @ w1 - comp[:, 1] + np.conj(loads.sum(axis=1) / w1)) - ops.p_gen
-        z = np.concatenate([(ops.y0 @ w0 - comp[:, 0])[g0], (ops.y2 @ w2 - comp[:, 2])[g2]])
+        s1 = w1 * np.conj(y1 @ w1 - comp[:, 1] + np.conj(loads.sum(axis=1) / w1)) - ops.p_gen
+        z = np.concatenate([(y0 @ w0 - comp[:, 0])[g0], (y2 @ w2 - comp[:, 2])[g2]])
         return np.concatenate([s1.real[pvpq], s1.imag[pq], z.real, z.imag])
 
     z = np.concatenate([v0[g0], v2[g2]])
@@ -486,17 +500,10 @@ _UNBALANCED_LOADS = {
 def test_cold_newton_steps_converge_quadratically(monkeypatch):
     # With every step a Newton step, the cold solve's mismatch squares each
     # step from 1e-2 down; with chord steps it lands on the same solution.
+    # Without chord steps, every iterate Newton evaluates is a kept step.
     net = _coupled_ieee9()
     chord = solve_three_sequence(net, _UNBALANCED_LOADS)
-    history = []
-    newton = transmission._newton
-
-    def recorded(*args, **kwargs):
-        out = newton(*args, **kwargs)
-        history.extend(out[3])
-        return out
-
-    monkeypatch.setattr(transmission, "_newton", recorded)
+    history = record_mismatches(monkeypatch)
     monkeypatch.setattr(transmission, "CHORD_CONTRACTION", 0.0)
     sol = solve_three_sequence(net, _UNBALANCED_LOADS, SolverOptions(tol_nr=1e-13))
     tail = [r for r in history if r < 1e-2]
@@ -568,7 +575,7 @@ def test_stress_failure_past_the_nose_is_newtons(ieee9, desk13, profile):
     res = run_step(ieee9, attachments, 12, scen, profile=profile)
     assert res.fpi_iterations == 6
     attachments, scen = _stress_case(ieee9, desk13, 3.875)
-    with pytest.raises(CosimError) as err:
+    with pytest.raises(CosimError, match="stop rule: stall, 2 kept steps") as err:
         run_step(ieee9, attachments, 12, scen, profile=profile)
     assert err.value.side == "transmission"
     assert isinstance(err.value.__cause__, NrNonConvergenceError)
@@ -700,7 +707,8 @@ def test_power_balance(ieee9):
         ops = SequenceOps(net)
         n = ops.n
         x = np.concatenate([sol.v0, sol.v1, sol.v2])
-        _, _, cur = _mismatch(ops, _load_terms(sol.loads_phase), x)
+        loads = ops.phase_load_matrix(pcc)
+        _, _, cur = _mismatch(ops, _load_terms(loads), x)
 
         total_gen = sol.slack_power_pu
         slack = next(b.id for b in net.buses if b.kind == "slack")
@@ -711,7 +719,7 @@ def test_power_balance(ieee9):
             # the positive-sequence current Newton's generators inject
             total_gen += sol.v1[i] * np.conj(cur[n + i])
 
-        total_load = sol.loads_phase.sum()
+        total_load = loads.sum()
 
         losses = 0j
         for (f, t), fl in branch_flows(sol, net, ops=ops).items():
